@@ -11,6 +11,12 @@ cargo build --release --workspace
 echo "== cargo test -q"
 cargo test -q
 
+# The Tier-1 command above tests only the root facade package; the crate
+# tests (lint rules, model checkers, oracle self-tests, cascade and policy
+# internals) run here, in debug so `debug_assert!`s are live.
+echo "== cargo test -q --workspace"
+cargo test -q --workspace
+
 echo "== cargo fmt --check"
 cargo fmt --check
 

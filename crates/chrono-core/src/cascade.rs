@@ -12,8 +12,9 @@
 //!   (the `tag` every pair stamps into what it schedules).
 //! - **Scan faults** go to the pair whose lower tier holds the page (the
 //!   pair whose Ticking-scan poisoned the PTE).
-//! - **Probe faults** go to the pair with the outstanding probe — a middle
-//!   tier is sampled by two pairs, so PTE state alone is ambiguous.
+//! - **Probe faults** go to the first pair that lists the page as an
+//!   outstanding probe (an O(1) index lookup per pair) — a middle tier is
+//!   sampled by two pairs, so PTE state alone is ambiguous.
 //! - **Migration failures** are drained once per event and offered to every
 //!   pair; each pair keeps only its own promotion edge's records.
 //!
@@ -178,9 +179,10 @@ impl TieringPolicy for CascadeChrono {
     ) {
         if res.probed_fault {
             let pte = sys.process(pid).space.pte_page(vpn);
-            // The pair that armed the probe owns both rounds; fall back to
-            // the pair whose lower tier holds the page if the record is
-            // gone (e.g. the probe expired between rounds).
+            // The pair that armed the probe owns both rounds (pair 0 first
+            // when both list the page); fall back to the pair whose lower
+            // tier holds the page if the record is gone (e.g. the probe
+            // expired between rounds).
             let owner = self
                 .pairs
                 .iter()
@@ -212,10 +214,11 @@ impl TieringPolicy for CascadeChrono {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::EV_DCSC;
     use sim_clock::Nanos;
-    use tiered_mem::{PageSize, SystemConfig, TierId};
+    use tiered_mem::{PageFlags, PageSize, SystemConfig, TierId};
     use tiering_policies::{DriverConfig, SimulationDriver};
-    use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
+    use workloads::{PhasedWorkload, PmbenchConfig, PmbenchWorkload, Workload};
 
     fn test_config() -> ChronoConfig {
         ChronoConfig {
@@ -395,6 +398,128 @@ mod tests {
             assert!(f.conserved(), "pair {i} retry flow: {f:?}");
         }
         assert!(policy.suspended_pairs().iter().all(|s| !s));
+    }
+
+    /// A cascade that, after every hook, holds each pair's probe membership
+    /// index to a reference scan of its outstanding list, and checks where
+    /// probe faults on a page listed by both pairs land.
+    struct IndexChecked {
+        inner: CascadeChrono,
+        /// Probe faults on a page both pairs listed.
+        shared_faults: u64,
+        /// Entries dropped by the expiry path (still `PG_probed` when their
+        /// DCSC round began), so both drop paths are exercised.
+        expired: u64,
+    }
+
+    impl IndexChecked {
+        fn check(&self) {
+            for (i, p) in self.inner.pairs().iter().enumerate() {
+                if let Err(e) = p.check_probe_index() {
+                    panic!("pair {i} probe index disagrees with its list: {e}");
+                }
+            }
+        }
+    }
+
+    impl TieringPolicy for IndexChecked {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn init(&mut self, sys: &mut TieredSystem) {
+            self.inner.init(sys);
+            self.check();
+        }
+
+        fn on_event(&mut self, sys: &mut TieredSystem, token: u64) {
+            let armed: Vec<Vec<(ProcessId, Vpn)>> = if decode_token(token).0 == EV_DCSC {
+                let probed = |&(pid, v): &(ProcessId, Vpn)| {
+                    sys.process(pid).space.entry(v).flags.has(PageFlags::PROBED)
+                };
+                let pairs = self.inner.pairs();
+                pairs
+                    .iter()
+                    .map(|p| p.listed_pages().filter(probed).collect())
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            self.inner.on_event(sys, token);
+            self.check();
+            for (p, armed) in self.inner.pairs().iter().zip(armed) {
+                let dropped = armed
+                    .iter()
+                    .filter(|&&(pid, v)| !p.has_outstanding_probe(pid, v));
+                self.expired += dropped.count() as u64;
+            }
+        }
+
+        fn on_hint_fault(
+            &mut self,
+            sys: &mut TieredSystem,
+            pid: ProcessId,
+            vpn: Vpn,
+            write: bool,
+            res: &AccessResult,
+        ) {
+            let pte = sys.process(pid).space.pte_page(vpn);
+            let pairs = self.inner.pairs();
+            let shared = res.probed_fault && pairs.iter().all(|p| p.listed_by_scan(pid, pte));
+            let rounds = |c: &CascadeChrono| {
+                c.pairs()
+                    .iter()
+                    .map(|p| p.probe_first_round(pid, pte))
+                    .collect::<Vec<_>>()
+            };
+            let before = rounds(&self.inner);
+            self.inner.on_hint_fault(sys, pid, vpn, write, res);
+            if shared {
+                // Pair 0 took the round (its first-round slot flipped
+                // between empty and full); pair 1 never saw the fault.
+                let after = rounds(&self.inner);
+                assert_ne!(before[0], after[0], "pair 0 skipped a shared probe fault");
+                assert_eq!(before[1], after[1], "pair 1 took a shared probe fault");
+                self.shared_faults += 1;
+            }
+            self.check();
+        }
+
+        fn on_access(&mut self, sys: &mut TieredSystem, pid: ProcessId, vpn: Vpn, write: bool) {
+            self.inner.on_access(sys, pid, vpn, write);
+        }
+    }
+
+    #[test]
+    fn probe_index_matches_outstanding_lists_under_churn() {
+        // A small churn shape: the hot centre keeps moving, so both pairs
+        // keep probing the shared middle tier.
+        let pages = 8192;
+        let mut sys = TieredSystem::new(SystemConfig::three_tier(1280, 2560, 6400));
+        sys.add_process(pages, PageSize::Base);
+        let w = PhasedWorkload::new(pages, vec![0.15, 0.65, 0.35, 0.85], 50_000, 0.5, 4242);
+        let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
+        // Probes expire after two scan periods (50 ms here); the run is
+        // long enough for the early ones to.
+        let cfg = ChronoConfig {
+            p_victim: 0.002,
+            ..ChronoConfig::scaled(Nanos::from_millis(25), 256)
+        };
+        let mut policy = IndexChecked {
+            inner: CascadeChrono::for_system(cfg, &sys),
+            shared_faults: 0,
+            expired: 0,
+        };
+        SimulationDriver::new(DriverConfig {
+            run_for: Nanos::from_millis(80),
+            ..Default::default()
+        })
+        .run(&mut sys, &mut wls, &mut policy);
+        assert!(policy.expired > 0, "no probe reached its expiry age");
+        assert!(
+            policy.shared_faults > 0,
+            "no probe fault hit a page listed by both pairs"
+        );
     }
 
     #[test]

@@ -46,6 +46,10 @@ const QUEUE_CAP: usize = 1 << 18;
 /// idle across multiple full passes is cold at any threshold the tuner can
 /// pick, and binning it at its idle age keeps the cold mass in the maps.
 const PROBE_EXPIRY_PERIODS: u64 = 2;
+/// `probe_state` bit: the page is on the pair's outstanding-probe list.
+const PROBE_LISTED: u8 = 1;
+/// `probe_state` bit: `probe_first_us` holds the page's first-round CIT.
+const PROBE_FIRST: u8 = 2;
 
 fn now_us(t: Nanos) -> u32 {
     // lint:allow(timestamp-cast) intentional modular stamp: the 4-byte CIT
@@ -53,12 +57,21 @@ fn now_us(t: Nanos) -> u32 {
     (t.as_nanos() / 1_000) as u32
 }
 
-/// CIT from the 4-byte policy word: modular distance in µs space. The word
-/// wraps every ~71.6 simulated minutes, so a plain subtraction of the
-/// widened stamp goes wrong past 4295 s; `wrapping_sub` stays correct for
-/// any interval shorter than one full wrap.
+/// CIT in µs from the 4-byte policy word: modular distance in µs space.
+/// The word wraps every ~71.6 simulated minutes, so a plain subtraction of
+/// the widened stamp goes wrong past 4295 s; `wrapping_sub` stays correct
+/// for any interval shorter than one full wrap.
+fn cit_us_from_word(fault_time: Nanos, word: u32) -> u32 {
+    now_us(fault_time).wrapping_sub(word)
+}
+
+fn us_to_nanos(us: u32) -> Nanos {
+    Nanos(u64::from(us) * 1_000)
+}
+
+/// CIT from the 4-byte policy word (see [`cit_us_from_word`]).
 fn cit_from_word(fault_time: Nanos, word: u32) -> Nanos {
-    Nanos(now_us(fault_time).wrapping_sub(word) as u64 * 1_000)
+    us_to_nanos(cit_us_from_word(fault_time, word))
 }
 
 /// The Chrono policy.
@@ -102,12 +115,20 @@ pub struct ChronoPolicy {
     limits: LimitEnforcer,
     /// Per-tier CIT heat maps (population-weighted samples).
     heat: [HeatMap; 2],
-    /// First-round CITs of outstanding probes, a dense `[pid][vpn]` table
-    /// (`None` = no first round recorded). Flat rather than an ordered map:
-    /// this is read and written on the probe-fault hot path, and row-major
+    /// Per-page DCSC probe state: `PROBE_LISTED` / `PROBE_FIRST` bits in a
+    /// dense `[pid][vpn]` table, one byte per page. Flat rather than an
+    /// ordered map: it is read on every probe fault, and row-major
     /// traversal stays deterministic if a drain is ever added.
-    probe_first: PidVpnTable<Option<Nanos>>,
-    /// Outstanding probes: (pid, vpn, issue time).
+    /// `PROBE_LISTED` is the membership index over `probes`, set exactly
+    /// while the page is listed there: the cascade asks "does this pair
+    /// list the page?" on every probe fault, so the answer must be a
+    /// lookup, not a scan of thousands of entries.
+    probe_state: PidVpnTable<u8>,
+    /// First-round CITs in µs (the policy word's resolution), valid where
+    /// `probe_state` has `PROBE_FIRST`.
+    probe_first_us: PidVpnTable<u32>,
+    /// Outstanding probes: (pid, vpn, issue time), in issue order — the
+    /// expiry pass walks it to deposit idle ages and reset probe state.
     probes: Vec<(ProcessId, Vpn, Nanos)>,
     cit_threshold: Nanos,
     /// Latest DCSC overlap point (bucket floor), anchoring the threshold.
@@ -194,7 +215,8 @@ impl ChronoPolicy {
             deferred: Vec::new(),
             thrash: ThrashingMonitor::new(),
             limits: LimitEnforcer::new(),
-            probe_first: PidVpnTable::new(),
+            probe_state: PidVpnTable::new(),
+            probe_first_us: PidVpnTable::new(),
             probes: Vec::new(),
             threshold_history: Vec::new(),
             rate_history: Vec::new(),
@@ -340,11 +362,72 @@ impl ChronoPolicy {
         (self.upper, self.lower)
     }
 
-    /// Whether a DCSC probe issued by this instance is still outstanding on
-    /// `pte`. The cascade uses this to route probe faults on a shared
-    /// middle tier to the pair that armed the PTE.
+    /// Whether `pte` is on this instance's outstanding-probe list: from the
+    /// DCSC round that issued the probe until the expiry pass that drops it
+    /// (a completed probe stays listed until that pass). The cascade uses
+    /// this to route probe faults on a shared middle tier to the pair that
+    /// armed the PTE. O(1): a read of the membership index.
     pub fn has_outstanding_probe(&self, pid: ProcessId, pte: Vpn) -> bool {
-        self.probes.iter().any(|&(p, v, _)| p == pid && v == pte)
+        self.probe_state
+            .get(pid, pte)
+            .is_some_and(|&s| s & PROBE_LISTED != 0)
+    }
+
+    /// Reference answer for [`ChronoPolicy::has_outstanding_probe`]: a scan
+    /// of the outstanding list itself.
+    #[cfg(test)]
+    pub(crate) fn listed_by_scan(&self, pid: ProcessId, pte: Vpn) -> bool {
+        self.listed_pages().any(|e| e == (pid, pte))
+    }
+
+    /// The pages on the outstanding list, in issue order.
+    #[cfg(test)]
+    pub(crate) fn listed_pages(&self) -> impl Iterator<Item = (ProcessId, Vpn)> + '_ {
+        self.probes.iter().map(|&(p, v, _)| (p, v))
+    }
+
+    /// Holds the membership index to the outstanding list: no page listed
+    /// twice, and the indexed pages are exactly the listed ones.
+    #[cfg(test)]
+    pub(crate) fn check_probe_index(&self) -> Result<(), String> {
+        let mut listed: Vec<(u16, u32)> = self.listed_pages().map(|(p, v)| (p.0, v.0)).collect();
+        listed.sort_unstable();
+        let entries = listed.len();
+        listed.dedup();
+        if listed.len() != entries {
+            return Err(format!("{} pages listed twice", entries - listed.len()));
+        }
+        // Row-major traversal is (pid, vpn)-ascending, like `listed`.
+        let indexed: Vec<(u16, u32)> = self
+            .probe_state
+            .rows()
+            .iter()
+            .enumerate()
+            .flat_map(|(p, row)| {
+                row.iter()
+                    .enumerate()
+                    .filter(|&(_, &s)| s & PROBE_LISTED != 0)
+                    .map(move |(v, _)| (p as u16, v as u32))
+            })
+            .collect();
+        if indexed == listed {
+            return Ok(());
+        }
+        let first_diff = listed.iter().zip(&indexed).find(|(l, i)| l != i);
+        Err(format!(
+            "{} pages listed, {} indexed; first (listed, indexed) difference {first_diff:?}",
+            listed.len(),
+            indexed.len()
+        ))
+    }
+
+    /// The first-round CIT recorded for an outstanding probe of `pte`.
+    #[cfg(test)]
+    pub(crate) fn probe_first_round(&self, pid: ProcessId, pte: Vpn) -> Option<Nanos> {
+        if self.probe_state.get(pid, pte)? & PROBE_FIRST == 0 {
+            return None;
+        }
+        self.probe_first_us.get(pid, pte).map(|&us| us_to_nanos(us))
     }
 
     /// The per-region tracker, when `adaptive_tracking` is on.
@@ -418,24 +501,27 @@ impl ChronoPolicy {
         sys: &mut TieredSystem,
         pid: ProcessId,
         pte: Vpn,
-        cit: Nanos,
+        cit_us: u32,
         now: Nanos,
     ) {
-        match self.probe_first.get_mut(pid, pte).and_then(Option::take) {
-            None => {
-                // First probe round: remember the CIT and re-arm the PTE for
-                // the second round (two-round CIT generation, Fig 5 step 2).
-                *self.probe_first.slot_mut(pid, pte) = Some(cit);
-                let e = sys.process_mut(pid).space.entry_mut(pte);
-                e.flags.set(PageFlags::PROT_NONE);
-                e.policy_word = now_us(now);
-            }
-            Some(first) => {
-                let final_cit = first.max(cit);
-                self.deposit_heat_sample(sys, pid, pte, final_cit);
-                let e = sys.process_mut(pid).space.entry_mut(pte);
-                e.flags.clear(PageFlags::PROBED);
-            }
+        let state = self.probe_state.slot_mut(pid, pte);
+        if *state & PROBE_FIRST == 0 {
+            // First probe round: remember the CIT and re-arm the PTE for
+            // the second round (two-round CIT generation, Fig 5 step 2).
+            *state |= PROBE_FIRST;
+            *self.probe_first_us.slot_mut(pid, pte) = cit_us;
+            let e = sys.process_mut(pid).space.entry_mut(pte);
+            e.flags.set(PageFlags::PROT_NONE);
+            e.policy_word = now_us(now);
+        } else {
+            *state &= !PROBE_FIRST;
+            let first = *self
+                .probe_first_us
+                .get(pid, pte)
+                .expect("PROBE_FIRST is only set with a recorded first round");
+            self.deposit_heat_sample(sys, pid, pte, us_to_nanos(first.max(cit_us)));
+            let e = sys.process_mut(pid).space.entry_mut(pte);
+            e.flags.clear(PageFlags::PROBED);
         }
     }
 
@@ -925,27 +1011,27 @@ impl ChronoPolicy {
         let mut keep = Vec::with_capacity(self.probes.len());
         let probes = std::mem::take(&mut self.probes);
         for (pid, pte, issued) in probes {
-            let e = sys.process(pid).space.entry(pte);
-            if !e.flags.has(PageFlags::PROBED) {
-                // Completed (already counted) or aborted by a migration that
-                // cleared `PG_probed`; drop any stale first-round CIT so a
-                // future probe of this page starts fresh.
-                if let Some(s) = self.probe_first.get_mut(pid, pte) {
-                    *s = None;
-                }
+            // `!probed`: completed (already counted) or aborted by a
+            // migration that cleared `PG_probed`.
+            let probed = sys
+                .process(pid)
+                .space
+                .entry(pte)
+                .flags
+                .has(PageFlags::PROBED);
+            let age = now.saturating_sub(issued);
+            if probed && age < expiry {
+                keep.push((pid, pte, issued));
                 continue;
             }
-            if now.saturating_sub(issued) >= expiry {
-                let age = now.saturating_sub(issued);
+            if probed {
                 self.deposit_heat_sample(sys, pid, pte, age);
                 let e = sys.process_mut(pid).space.entry_mut(pte);
                 e.flags.clear(PageFlags::PROBED | PageFlags::PROT_NONE);
-                if let Some(s) = self.probe_first.get_mut(pid, pte) {
-                    *s = None;
-                }
-            } else {
-                keep.push((pid, pte, issued));
             }
+            // Dropped from the list: unindex it and drop any stale
+            // first-round CIT so a future probe of this page starts fresh.
+            *self.probe_state.slot_mut(pid, pte) = 0;
         }
         self.probes = keep;
     }
@@ -995,7 +1081,14 @@ impl ChronoPolicy {
             let e = sys.process_mut(pid).space.entry_mut(pte);
             e.flags.set(PageFlags::PROBED | PageFlags::PROT_NONE);
             e.policy_word = stamp;
+            // A listed page is still `PG_probed` (expiry just dropped every
+            // entry whose page is not), so the flag check above skipped it.
+            debug_assert!(
+                !self.has_outstanding_probe(pid, pte),
+                "probe of ({pid:?}, {pte:?}) issued twice"
+            );
             self.probes.push((pid, pte, now));
+            *self.probe_state.slot_mut(pid, pte) |= PROBE_LISTED;
             issued += 1;
         }
         // Probe issuing is cheap kernel work (random PTE pokes).
@@ -1147,14 +1240,14 @@ impl TieringPolicy for ChronoPolicy {
         res: &AccessResult,
     ) {
         let pte = sys.process(pid).space.pte_page(vpn);
-        let cit = cit_from_word(
+        let cit_us = cit_us_from_word(
             res.fault_time,
             sys.process(pid).space.entry(pte).policy_word,
         );
         if res.probed_fault {
-            self.handle_probe_fault(sys, pid, pte, cit, res.fault_time);
+            self.handle_probe_fault(sys, pid, pte, cit_us, res.fault_time);
         } else {
-            self.handle_scan_fault(sys, pid, pte, cit);
+            self.handle_scan_fault(sys, pid, pte, us_to_nanos(cit_us));
         }
     }
 

@@ -159,7 +159,17 @@ mod tests {
         for alpha in [0.25, 0.4, 0.6, 0.9, 1.0] {
             let c = h_normalizer(alpha);
             assert!(c > 0.0);
-            let total = integrate(|x| h_density(x, alpha), 1e-9, 1.0, 20_000);
+            // `h_density` re-integrates the normalizer on every call, so the
+            // quadrature runs over `kernel / c` — bit-identical, because the
+            // normalizer is deterministic — instead of over `h_density`.
+            for x in [1e-3, 0.25, 0.5, 1.0, 2.5] {
+                assert_eq!(
+                    h_density(x, alpha),
+                    h_kernel(x, alpha) / c,
+                    "α = {alpha}, x = {x}"
+                );
+            }
+            let total = integrate(|x| h_kernel(x, alpha) / c, 1e-9, 1.0, 20_000);
             assert!((total - 1.0).abs() < 1e-6, "α = {}: {}", alpha, total);
         }
     }

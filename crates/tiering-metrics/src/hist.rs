@@ -4,7 +4,11 @@
 //! microseconds (hint faults with synchronous migration), so the histogram
 //! uses logarithmic buckets: 64 per power of two, giving ≈1.1 % relative
 //! resolution — more than enough to reproduce the paper's average/median/P99
-//! comparisons while staying O(1) per sample and fixed-size.
+//! comparisons while staying O(1) per sample. The bucket layout is fixed,
+//! but storage only reaches the highest bucket recorded: sub-microsecond
+//! access latencies need a few KiB, not the full range's 20 KiB, which
+//! matters where many histograms live at once (three per fleet tenant, one
+//! per kept run result).
 
 use sim_clock::Nanos;
 
@@ -13,9 +17,10 @@ const SUBBUCKETS: usize = 64;
 /// Number of powers of two covered (2^0 .. 2^40 ns ≈ 18 minutes).
 const POWERS: usize = 40;
 
-/// A fixed-size log-scale histogram of nanosecond latencies.
+/// A log-scale histogram of nanosecond latencies.
 #[derive(Clone)]
 pub struct LatencyHistogram {
+    /// Counts of buckets `0..buckets.len()`; every higher bucket is empty.
     buckets: Vec<u64>,
     count: u64,
     sum: u128,
@@ -33,7 +38,7 @@ impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> LatencyHistogram {
         LatencyHistogram {
-            buckets: vec![0; SUBBUCKETS * POWERS],
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             max: 0,
@@ -77,11 +82,26 @@ impl LatencyHistogram {
     #[inline]
     pub fn record_in_bucket(&mut self, latency: Nanos, bucket: usize) {
         let ns = latency.as_nanos();
-        self.buckets[bucket] += 1;
+        match self.buckets.get_mut(bucket) {
+            Some(c) => *c += 1,
+            None => self.grow_and_count(bucket),
+        }
         self.count += 1;
         self.sum += ns as u128;
         self.max = self.max.max(ns);
         self.min = self.min.min(ns);
+    }
+
+    /// Extends storage through `bucket`'s power of two and counts one
+    /// sample there. Whole powers keep regrowth to a handful of steps.
+    #[cold]
+    #[inline(never)]
+    fn grow_and_count(&mut self, bucket: usize) {
+        assert!(bucket < SUBBUCKETS * POWERS, "bucket {bucket} out of range");
+        let len = (bucket / SUBBUCKETS + 1) * SUBBUCKETS;
+        self.buckets.reserve_exact(len - self.buckets.len());
+        self.buckets.resize(len, 0);
+        self.buckets[bucket] += 1;
     }
 
     /// Number of samples.
@@ -130,7 +150,7 @@ impl LatencyHistogram {
                     return 0.0;
                 }
                 let limit = Self::bucket_of(p.as_nanos());
-                let below: u64 = self.buckets[..=limit].iter().sum();
+                let below: u64 = self.buckets.iter().take(limit + 1).sum();
                 below as f64 / self.count as f64
             })
             .collect()
@@ -138,6 +158,9 @@ impl LatencyHistogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
@@ -228,6 +251,49 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), Nanos(200));
         assert_eq!(a.max(), Nanos(300));
+    }
+
+    #[test]
+    fn storage_reaches_only_the_highest_recorded_bucket() {
+        let mut h = LatencyHistogram::new();
+        assert_eq!(
+            h.buckets.capacity(),
+            0,
+            "an empty histogram allocates nothing"
+        );
+        for ns in [120u64, 450, 1_900, 300] {
+            h.record(Nanos(ns));
+        }
+        // 1900 ns lies in 2^10..2^11: storage covers powers 0..=10 only.
+        assert_eq!(h.buckets.len(), 11 * SUBBUCKETS);
+        assert_eq!(h.buckets.capacity(), 11 * SUBBUCKETS);
+    }
+
+    #[test]
+    fn short_and_long_storage_agree() {
+        // Merging in either direction, and CDF points past the stored
+        // range, read as if every bucket were materialised.
+        let (mut short, mut long) = (LatencyHistogram::new(), LatencyHistogram::new());
+        short.record(Nanos(90));
+        long.record(Nanos(70_000));
+        let mut ab = short.clone();
+        ab.merge(&long);
+        let mut ba = long.clone();
+        ba.merge(&short);
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(ab.quantile(q), ba.quantile(q));
+        }
+        assert_eq!(ab.quantile(0.5), Nanos(90));
+        let pts = [Nanos(100), Nanos(1 << 30)];
+        assert_eq!(short.cdf_at(&pts), vec![1.0, 1.0]);
+        assert_eq!(ab.cdf_at(&pts), ba.cdf_at(&pts));
+        assert_eq!(ab.cdf_at(&pts), vec![0.5, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_bucket_is_rejected() {
+        LatencyHistogram::new().record_in_bucket(Nanos(1), SUBBUCKETS * POWERS);
     }
 
     #[test]
