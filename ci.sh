@@ -17,6 +17,13 @@ cargo test -q
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+# The benchmark package is a workspace of its own, so the steps above never
+# build or test it. Its tests hold sliced runs equal to uninterrupted ones,
+# decorated runs equal to undecorated ones, and the concrete Chrono equal to
+# `PolicyKind::build`, on the same crates the rest of the gate checks.
+echo "== cargo test -q --release --offline --manifest-path tierbench/Cargo.toml"
+cargo test -q --release --offline --manifest-path tierbench/Cargo.toml
+
 echo "== cargo fmt --check"
 cargo fmt --check
 

@@ -17,6 +17,9 @@
 //!   sampled by two pairs, so PTE state alone is ambiguous.
 //! - **Migration failures** are drained once per event and offered to every
 //!   pair; each pair keeps only its own promotion edge's records.
+//! - **Probe clears** (pages that lost `PG_probed`) are drained before every
+//!   DCSC event and queued for each pair that lists the page; the pair
+//!   settles them at its next expiry pass.
 //!
 //! The two-tier configuration is exactly one pair and behaves identically
 //! to a standalone [`ChronoPolicy`].
@@ -25,13 +28,16 @@ use tiered_mem::{AccessResult, ProcessId, TierHealth, TierId, TieredSystem, Vpn,
 use tiering_policies::{decode_token, TieringPolicy};
 
 use crate::config::ChronoConfig;
-use crate::policy::{ChronoPolicy, EV_MIGRATE};
+use crate::policy::{ChronoPolicy, EV_DCSC, EV_MIGRATE};
 use crate::queue::QueueFlow;
 use crate::resilience::RetryFlow;
 
 /// Cascaded Chrono: one [`ChronoPolicy`] per adjacent pair of managed tiers.
 pub struct CascadeChrono {
     pairs: Vec<ChronoPolicy>,
+    /// Per pair: pages it lists that lost `PG_probed` since its last DCSC
+    /// round, in clear order.
+    cleared: Vec<Vec<(ProcessId, Vpn)>>,
     /// Pairs whose lower tier is spliced out of the chain: their events
     /// reschedule without doing work until the tier rejoins.
     suspended: Vec<bool>,
@@ -69,6 +75,7 @@ impl CascadeChrono {
         };
         CascadeChrono {
             suspended: vec![false; pairs.len()],
+            cleared: vec![Vec::new(); pairs.len()],
             rerouted: false,
             pairs,
             name,
@@ -162,10 +169,26 @@ impl TieringPolicy for CascadeChrono {
                 }
             }
         }
-        if self.suspended[tag as usize] {
-            self.pairs[tag as usize].suspend_tick(sys, token);
+        if kind == EV_DCSC {
+            // The probe-clear log is global too. Probe lists change only at
+            // DCSC events, so draining before each one queues every clear
+            // for exactly the pairs that listed the page when it was cleared.
+            let clears = sys.take_probe_clears();
+            for (p, cleared) in self.pairs.iter().zip(&mut self.cleared) {
+                let listed = clears
+                    .iter()
+                    .filter(|&&(pid, pte)| p.has_outstanding_probe(pid, pte));
+                cleared.extend(listed);
+            }
+        }
+        let i = tag as usize;
+        if self.suspended[i] {
+            self.pairs[i].suspend_tick(sys, token);
+        } else if kind == EV_DCSC {
+            self.pairs[i].dcsc_round(sys, &self.cleared[i]);
+            self.cleared[i].clear();
         } else {
-            self.pairs[tag as usize].on_event(sys, token);
+            self.pairs[i].on_event(sys, token);
         }
     }
 
@@ -214,8 +237,9 @@ impl TieringPolicy for CascadeChrono {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::EV_DCSC;
+    use crate::policy::{is_probed, DcscWork, PROBE_EXPIRY_PERIODS};
     use sim_clock::Nanos;
+    use std::collections::BTreeSet;
     use tiered_mem::{PageFlags, PageSize, SystemConfig, TierId};
     use tiering_policies::{DriverConfig, SimulationDriver};
     use workloads::{PhasedWorkload, PmbenchConfig, PmbenchWorkload, Workload};
@@ -400,58 +424,265 @@ mod tests {
         assert!(policy.suspended_pairs().iter().all(|s| !s));
     }
 
-    /// A cascade that, after every hook, holds each pair's probe membership
-    /// index to a reference scan of its outstanding list, and checks where
-    /// probe faults on a page listed by both pairs land.
-    struct IndexChecked {
-        inner: CascadeChrono,
-        /// Probe faults on a page both pairs listed.
-        shared_faults: u64,
-        /// Entries dropped by the expiry path (still `PG_probed` when their
-        /// DCSC round began), so both drop paths are exercised.
-        expired: u64,
+    /// The policy under check: a cascade, or a standalone pair.
+    enum Inner {
+        Cascade(CascadeChrono),
+        Pair(Box<ChronoPolicy>),
     }
 
-    impl IndexChecked {
-        fn check(&self) {
-            for (i, p) in self.inner.pairs().iter().enumerate() {
-                if let Err(e) = p.check_probe_index() {
-                    panic!("pair {i} probe index disagrees with its list: {e}");
-                }
+    impl Inner {
+        fn pairs(&self) -> &[ChronoPolicy] {
+            match self {
+                Inner::Cascade(c) => c.pairs(),
+                Inner::Pair(p) => std::slice::from_ref(p),
+            }
+        }
+
+        fn suspended(&self, pair: usize) -> bool {
+            match self {
+                Inner::Cascade(c) => c.suspended_pairs()[pair],
+                Inner::Pair(_) => false,
+            }
+        }
+
+        fn policy(&mut self) -> &mut dyn TieringPolicy {
+            match self {
+                Inner::Cascade(c) => c,
+                Inner::Pair(p) => p.as_mut(),
             }
         }
     }
 
-    impl TieringPolicy for IndexChecked {
+    type Entry = (ProcessId, Vpn, Nanos);
+
+    /// Paths a checked run reached, and what the full walk would have read.
+    #[derive(Debug, Default)]
+    struct Reached {
+        /// Probe faults on a page both pairs listed.
+        shared_faults: u64,
+        /// Listed pages whose `PG_probed` a migration completion cleared.
+        migrate_clears: u64,
+        /// Listed pages whose `PG_probed` a swap-out cleared.
+        swap_clears: u64,
+        /// Entries the walk kept although their page lost `PG_probed`
+        /// after it was listed (probed again by the other pair).
+        revived: u64,
+        /// Listed pages with an older entry still queued, summed over passes.
+        relisted: u64,
+        /// Entries the walk expired with a deposit.
+        deposits: u64,
+        /// Entries the walk dropped because their page lost `PG_probed`.
+        dropped: u64,
+        /// List entries the full walk read, summed over passes.
+        walked: u64,
+    }
+
+    /// A policy wrapper that holds every pair's lazily maintained probe
+    /// list to the full walk it replaced. It keeps its own copy of each
+    /// pair's list. Before each DCSC event it runs the full walk on that
+    /// copy against the PTE flags; afterwards the pair's live entries must
+    /// be the walk's kept entries, in order, followed by the probes issued
+    /// this round, the pair's deposit and drop counts must match the
+    /// walk's, and its state bytes must agree with its list. Between
+    /// passes no list may change, and every hint fault must find each
+    /// pair's membership answer for the page equal to the copy's.
+    struct WalkChecked {
+        inner: Inner,
+        /// Per pair: the reference copy of the list, and its pages.
+        refs: Vec<Vec<Entry>>,
+        ref_pages: Vec<BTreeSet<(ProcessId, Vpn)>>,
+        /// Per pair: `(entries, live entries)` after its last pass.
+        shapes: Vec<(usize, usize)>,
+        /// Per pair: pages that lost `PG_probed` since its last pass (a
+        /// superset of its listed ones; the walk only asks about those).
+        lost: Vec<BTreeSet<(ProcessId, Vpn)>>,
+        /// Reference pages that are `PG_probed`, as of the last boundary.
+        armed: BTreeSet<(ProcessId, Vpn)>,
+        /// Migrations completed plus pages swapped out, at the last boundary.
+        substrate_mark: u64,
+        reached: Reached,
+    }
+
+    impl WalkChecked {
+        fn new(inner: Inner) -> WalkChecked {
+            let n = inner.pairs().len();
+            WalkChecked {
+                inner,
+                refs: vec![Vec::new(); n],
+                ref_pages: vec![BTreeSet::new(); n],
+                shapes: vec![(0, 0); n],
+                lost: vec![BTreeSet::new(); n],
+                armed: BTreeSet::new(),
+                substrate_mark: 0,
+                reached: Reached::default(),
+            }
+        }
+
+        /// Between passes: no list changed, and each pair answers the
+        /// membership of `page` as its reference copy does.
+        fn check_unchanged(&self, page: Option<(ProcessId, Vpn)>) {
+            for (i, p) in self.inner.pairs().iter().enumerate() {
+                assert_eq!(
+                    p.probe_list_shape(),
+                    self.shapes[i],
+                    "pair {i} list changed"
+                );
+                if let Some((pid, pte)) = page {
+                    assert_eq!(
+                        p.has_outstanding_probe(pid, pte),
+                        self.ref_pages[i].contains(&(pid, pte)),
+                        "pair {i} membership of {page:?} left the reference copy"
+                    );
+                }
+            }
+        }
+
+        /// Marks `page` as having lost `PG_probed` for every pair.
+        fn lose(&mut self, page: (ProcessId, Vpn)) {
+            self.armed.remove(&page);
+            for lost in &mut self.lost {
+                lost.insert(page);
+            }
+        }
+
+        /// Counts the substrate's `PG_probed` clears on reference pages
+        /// since the last boundary. Outside DCSC events and the probe-fault
+        /// path only migration completions and swap-outs clear the bit, and
+        /// each bumps a substrate counter, so an unchanged counter means
+        /// nothing to look for.
+        fn substrate_boundary(&mut self, sys: &TieredSystem) {
+            let mark = sys.stats.completed_migrations + sys.stats.swapped_out_pages;
+            if mark == self.substrate_mark {
+                return;
+            }
+            self.substrate_mark = mark;
+            let cleared: Vec<_> = self
+                .armed
+                .iter()
+                .copied()
+                .filter(|&(pid, v)| !is_probed(sys, pid, v))
+                .collect();
+            for (pid, v) in cleared {
+                if sys
+                    .process(pid)
+                    .space
+                    .entry(v)
+                    .flags
+                    .has(PageFlags::SWAPPED)
+                {
+                    self.reached.swap_clears += 1;
+                } else {
+                    self.reached.migrate_clears += 1;
+                }
+                self.lose((pid, v));
+            }
+        }
+
+        fn dcsc_event(&mut self, sys: &mut TieredSystem, token: u64, pair: usize) {
+            let now = sys.clock.now();
+            let p = &self.inner.pairs()[pair];
+            let expiry = p.config().scan_period * PROBE_EXPIRY_PERIODS;
+            let work = p.dcsc_work();
+            // The full walk, on the reference copy.
+            let (mut kept, mut deposited, mut dropped) = (Vec::new(), Vec::new(), 0);
+            for &(pid, v, issued) in &self.refs[pair] {
+                if !is_probed(sys, pid, v) {
+                    dropped += 1;
+                } else if now.saturating_sub(issued) < expiry {
+                    kept.push((pid, v, issued));
+                } else {
+                    deposited.push((pid, v));
+                }
+            }
+            let suspended = self.inner.suspended(pair);
+            self.inner.policy().on_event(sys, token);
+            if suspended {
+                self.check_unchanged(None);
+                return;
+            }
+            let p = &self.inner.pairs()[pair];
+            if let Err(e) = p.check_probe_index() {
+                panic!("pair {pair} state bytes disagree with its list: {e}");
+            }
+            let live = p.live_probes();
+            let (old, new) = live.split_at(kept.len().min(live.len()));
+            assert!(
+                old == kept,
+                "pair {pair} kept other entries than the full walk"
+            );
+            assert!(
+                new.iter().all(|e| e.2 == now),
+                "pair {pair} kept extra entries"
+            );
+            let work_now = p.dcsc_work();
+            assert_eq!(
+                work_now.expired_deposits - work.expired_deposits,
+                deposited.len() as u64,
+                "pair {pair} expiry deposits"
+            );
+            assert_eq!(
+                work_now.dropped_cleared - work.dropped_cleared,
+                dropped,
+                "pair {pair} cleared-probe drops"
+            );
+            let (entries, live_entries) = p.probe_list_shape();
+            assert!(
+                entries - live_entries <= live_entries + new.len(),
+                "pair {pair}: {entries} entries, {live_entries} live after a pass"
+            );
+            let r = &mut self.reached;
+            r.revived += kept
+                .iter()
+                .filter(|&&(pid, v, _)| self.lost[pair].contains(&(pid, v)))
+                .count() as u64;
+            r.deposits += deposited.len() as u64;
+            r.dropped += dropped;
+            r.walked += self.refs[pair].len() as u64;
+            r.relisted += p.relisted_pages() as u64;
+            // The pass's own clears can hide behind a re-probe in this same
+            // round; the other pairs' copies must still count them as lost.
+            for page in deposited {
+                self.lose(page);
+            }
+            self.shapes[pair] = (entries, live_entries);
+            self.ref_pages[pair] = live.iter().map(|&(pid, v, _)| (pid, v)).collect();
+            self.refs[pair] = live;
+            self.lost[pair].clear();
+            // Issuing set `PG_probed` on new pages and may have re-probed
+            // pages other pairs list.
+            self.armed = self
+                .ref_pages
+                .iter()
+                .flatten()
+                .copied()
+                .filter(|&(pid, v)| is_probed(sys, pid, v))
+                .collect();
+        }
+    }
+
+    impl TieringPolicy for WalkChecked {
         fn name(&self) -> &'static str {
-            self.inner.name()
+            match &self.inner {
+                Inner::Cascade(c) => c.name(),
+                Inner::Pair(p) => p.name(),
+            }
         }
 
         fn init(&mut self, sys: &mut TieredSystem) {
-            self.inner.init(sys);
-            self.check();
+            self.inner.policy().init(sys);
+            self.substrate_mark = sys.stats.completed_migrations + sys.stats.swapped_out_pages;
+            self.check_unchanged(None);
         }
 
         fn on_event(&mut self, sys: &mut TieredSystem, token: u64) {
-            let armed: Vec<Vec<(ProcessId, Vpn)>> = if decode_token(token).0 == EV_DCSC {
-                let probed = |&(pid, v): &(ProcessId, Vpn)| {
-                    sys.process(pid).space.entry(v).flags.has(PageFlags::PROBED)
-                };
-                let pairs = self.inner.pairs();
-                pairs
-                    .iter()
-                    .map(|p| p.listed_pages().filter(probed).collect())
-                    .collect()
+            self.substrate_boundary(sys);
+            let (kind, _, tag) = decode_token(token);
+            if kind == EV_DCSC {
+                self.dcsc_event(sys, token, tag as usize);
             } else {
-                Vec::new()
-            };
-            self.inner.on_event(sys, token);
-            self.check();
-            for (p, armed) in self.inner.pairs().iter().zip(armed) {
-                let dropped = armed
-                    .iter()
-                    .filter(|&&(pid, v)| !p.has_outstanding_probe(pid, v));
-                self.expired += dropped.count() as u64;
+                self.inner.policy().on_event(sys, token);
+                self.substrate_boundary(sys);
+                self.check_unchanged(None);
             }
         }
 
@@ -463,63 +694,162 @@ mod tests {
             write: bool,
             res: &AccessResult,
         ) {
+            self.substrate_boundary(sys);
             let pte = sys.process(pid).space.pte_page(vpn);
-            let pairs = self.inner.pairs();
-            let shared = res.probed_fault && pairs.iter().all(|p| p.listed_by_scan(pid, pte));
-            let rounds = |c: &CascadeChrono| {
-                c.pairs()
+            self.check_unchanged(Some((pid, pte)));
+            let shared = res.probed_fault
+                && self.ref_pages.len() > 1
+                && self.ref_pages.iter().all(|r| r.contains(&(pid, pte)));
+            let rounds = |inner: &Inner| {
+                inner
+                    .pairs()
                     .iter()
                     .map(|p| p.probe_first_round(pid, pte))
                     .collect::<Vec<_>>()
             };
             let before = rounds(&self.inner);
-            self.inner.on_hint_fault(sys, pid, vpn, write, res);
+            self.inner.policy().on_hint_fault(sys, pid, vpn, write, res);
             if shared {
                 // Pair 0 took the round (its first-round slot flipped
                 // between empty and full); pair 1 never saw the fault.
                 let after = rounds(&self.inner);
                 assert_ne!(before[0], after[0], "pair 0 skipped a shared probe fault");
                 assert_eq!(before[1], after[1], "pair 1 took a shared probe fault");
-                self.shared_faults += 1;
+                self.reached.shared_faults += 1;
             }
-            self.check();
+            // A completed probe is the policy's own clear.
+            if self.armed.contains(&(pid, pte)) && !is_probed(sys, pid, pte) {
+                self.lose((pid, pte));
+            }
+            self.substrate_boundary(sys);
+            self.check_unchanged(Some((pid, pte)));
         }
 
         fn on_access(&mut self, sys: &mut TieredSystem, pid: ProcessId, vpn: Vpn, write: bool) {
-            self.inner.on_access(sys, pid, vpn, write);
+            self.inner.policy().on_access(sys, pid, vpn, write);
+        }
+    }
+
+    /// Runs `inner` behind the walk check and returns what it reached.
+    fn run_walk_checked(
+        mut sys: TieredSystem,
+        workload: Box<dyn Workload>,
+        inner: Inner,
+        run_ms: u64,
+    ) -> (Reached, Vec<DcscWork>) {
+        let mut wls = vec![workload];
+        let mut policy = WalkChecked::new(inner);
+        SimulationDriver::new(DriverConfig {
+            run_for: Nanos::from_millis(run_ms),
+            ..Default::default()
+        })
+        .run(&mut sys, &mut wls, &mut policy);
+        let work = policy.inner.pairs().iter().map(|p| p.dcsc_work()).collect();
+        (policy.reached, work)
+    }
+
+    /// Probes expire after two scan periods (50 ms here); the runs are long
+    /// enough for the early ones to.
+    fn walk_config() -> ChronoConfig {
+        ChronoConfig {
+            p_victim: 0.002,
+            ..ChronoConfig::scaled(Nanos::from_millis(25), 256)
         }
     }
 
     #[test]
-    fn probe_index_matches_outstanding_lists_under_churn() {
+    fn lazy_expiry_equals_full_walk_on_churning_cascade() {
         // A small churn shape: the hot centre keeps moving, so both pairs
         // keep probing the shared middle tier.
         let pages = 8192;
         let mut sys = TieredSystem::new(SystemConfig::three_tier(1280, 2560, 6400));
         sys.add_process(pages, PageSize::Base);
         let w = PhasedWorkload::new(pages, vec![0.15, 0.65, 0.35, 0.85], 50_000, 0.5, 4242);
-        let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
-        // Probes expire after two scan periods (50 ms here); the run is
-        // long enough for the early ones to.
-        let cfg = ChronoConfig {
-            p_victim: 0.002,
-            ..ChronoConfig::scaled(Nanos::from_millis(25), 256)
-        };
-        let mut policy = IndexChecked {
-            inner: CascadeChrono::for_system(cfg, &sys),
-            shared_faults: 0,
-            expired: 0,
-        };
-        SimulationDriver::new(DriverConfig {
-            run_for: Nanos::from_millis(80),
-            ..Default::default()
-        })
-        .run(&mut sys, &mut wls, &mut policy);
-        assert!(policy.expired > 0, "no probe reached its expiry age");
+        let inner = Inner::Cascade(CascadeChrono::for_system(walk_config(), &sys));
+        let (r, work) = run_walk_checked(sys, Box::new(w), inner, 150);
+        assert!(r.deposits > 0, "no probe reached its expiry age: {r:?}");
+        assert!(r.dropped > 0, "no listed probe lost PG_probed: {r:?}");
         assert!(
-            policy.shared_faults > 0,
-            "no probe fault hit a page listed by both pairs"
+            r.migrate_clears > 0,
+            "no migration cleared a listed probe: {r:?}"
         );
+        assert!(r.revived > 0, "no cleared entry was probed again: {r:?}");
+        assert!(
+            r.shared_faults > 0,
+            "no probe fault on a page both pairs list: {r:?}"
+        );
+        // The pass is O(dropped): its work stays within a small multiple of
+        // what it issues and drops, while the full walk read every entry.
+        let sum = |f: fn(&DcscWork) -> u64| work.iter().map(f).sum::<u64>();
+        let touched = sum(|w| w.expiry_touched);
+        let issued = sum(|w| w.probes_issued);
+        let dropped = sum(|w| w.dropped_cleared + w.expired_deposits);
+        assert!(sum(|w| w.random_draws) >= issued);
+        assert!(
+            touched <= 2 * (issued + dropped),
+            "expiry touched {touched} entries for {issued} issued, {dropped} dropped"
+        );
+        assert!(
+            r.walked >= 10 * touched,
+            "the full walk would read {} entries, the lazy pass touched {touched}",
+            r.walked
+        );
+    }
+
+    #[test]
+    fn lazy_expiry_equals_full_walk_on_a_standalone_pair() {
+        let mut sys = TieredSystem::new(SystemConfig::dram_pmem(1024, 4096));
+        let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(4096, 0.7, 1));
+        sys.add_process(w.address_space_pages(), PageSize::Base);
+        let inner = Inner::Pair(Box::new(ChronoPolicy::new(walk_config())));
+        let (r, _) = run_walk_checked(sys, Box::new(w), inner, 80);
+        assert!(r.deposits > 0 && r.dropped > 0, "{r:?}");
+        assert!(
+            r.migrate_clears > 0,
+            "no migration cleared a listed probe: {r:?}"
+        );
+    }
+
+    #[test]
+    fn lazy_expiry_drops_probes_cleared_by_swap_out() {
+        // A cgroup limit below the working set keeps the limit enforcer
+        // swapping slow-tier pages out, probed ones included.
+        let pages = 4096;
+        let mut sys = TieredSystem::new(SystemConfig::dram_pmem(1024, 4096));
+        let pid = sys.add_process(pages, PageSize::Base);
+        sys.set_memory_limit(pid, Some(3072));
+        let w = PhasedWorkload::new(pages, vec![0.2, 0.7], 40_000, 0.5, 77);
+        let inner = Inner::Pair(Box::new(ChronoPolicy::new(walk_config())));
+        let (r, _) = run_walk_checked(sys, Box::new(w), inner, 80);
+        assert!(
+            r.swap_clears > 0,
+            "no swap-out cleared a listed probe: {r:?}"
+        );
+        assert!(
+            r.migrate_clears > 0,
+            "no migration cleared a listed probe: {r:?}"
+        );
+        assert!(r.deposits > 0 && r.dropped > 0, "{r:?}");
+    }
+
+    #[test]
+    fn lazy_expiry_equals_full_walk_on_a_tiny_address_space() {
+        // 64 pages: the 4-probe floor re-lists the same pages many times
+        // inside one expiry window, so dead entries pile up behind live
+        // ones and compaction has to keep up.
+        let pages = 64;
+        let mut sys = TieredSystem::new(SystemConfig::three_tier(16, 24, 48));
+        sys.add_process(pages, PageSize::Base);
+        let w = PhasedWorkload::new(pages, vec![0.2, 0.7], 2_000, 0.5, 9);
+        let inner = Inner::Cascade(CascadeChrono::for_system(walk_config(), &sys));
+        let (r, _) = run_walk_checked(sys, Box::new(w), inner, 80);
+        assert!(
+            r.relisted > 0,
+            "no page re-listed behind a queued entry: {r:?}"
+        );
+        assert!(r.revived > 0, "no cleared entry was probed again: {r:?}");
+        // Every probe here completes long before it could expire.
+        assert!(r.dropped > 0, "{r:?}");
     }
 
     #[test]

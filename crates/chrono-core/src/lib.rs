@@ -43,7 +43,7 @@ pub use controls::ControlError;
 pub use flat::PidVpnTable;
 pub use heatmap::HeatMap;
 pub use limits::LimitEnforcer;
-pub use policy::ChronoPolicy;
+pub use policy::{ChronoPolicy, DcscWork};
 pub use queue::{PromotionQueue, QueueFlow};
 pub use resilience::{BreakerTransition, MigrationBreaker, RetryEntry, RetryFlow, RetryPool};
 pub use thrash::ThrashingMonitor;

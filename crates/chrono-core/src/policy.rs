@@ -15,6 +15,8 @@
 //!   thrashing check; **DCSC** events expire/issue probes and derive both
 //!   threshold and rate limit from heat-map overlap.
 
+use std::collections::VecDeque;
+
 use sim_clock::{DetRng, Nanos};
 use tiered_mem::{
     scan_budget_pages, AccessResult, LruKind, MigrateError, MigrateMode, MigrationFailure,
@@ -45,16 +47,47 @@ const QUEUE_CAP: usize = 1 << 18;
 /// Probes older than this many scan periods are expired as cold: a page
 /// idle across multiple full passes is cold at any threshold the tuner can
 /// pick, and binning it at its idle age keeps the cold mass in the maps.
-const PROBE_EXPIRY_PERIODS: u64 = 2;
-/// `probe_state` bit: the page is on the pair's outstanding-probe list.
+pub(crate) const PROBE_EXPIRY_PERIODS: u64 = 2;
+/// `probe_state` bit: the page has a live entry on the pair's probe list.
 const PROBE_LISTED: u8 = 1;
 /// `probe_state` bit: `probe_first_us` holds the page's first-round CIT.
 const PROBE_FIRST: u8 = 2;
+/// `probe_state` count unit: the six high bits count the page's entries on
+/// the probe list, live or dead.
+const PROBE_QUEUED: u8 = 4;
+/// `probe_state` mask of the queued-entry count.
+const PROBE_QUEUED_MASK: u8 = !(PROBE_LISTED | PROBE_FIRST);
+
+/// Work counts of one pair's DCSC layer: operations, not host time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DcscWork {
+    /// Probes issued (PTEs armed with `PG_probed` and listed).
+    pub probes_issued: u64,
+    /// Random `(pid, vpn)` draws made to find them.
+    pub random_draws: u64,
+    /// List entries and logged pages the expiry pass examined, compaction
+    /// included.
+    pub expiry_touched: u64,
+    /// Entries dropped because their page lost `PG_probed` (the probe
+    /// completed, or a migration or swap-out cut it short).
+    pub dropped_cleared: u64,
+    /// Entries that reached the expiry age still probed and deposited their
+    /// idle age into a heat map.
+    pub expired_deposits: u64,
+}
 
 fn now_us(t: Nanos) -> u32 {
     // lint:allow(timestamp-cast) intentional modular stamp: the 4-byte CIT
     // word wraps by design and every consumer reads it with wrapping_sub.
     (t.as_nanos() / 1_000) as u32
+}
+
+pub(crate) fn is_probed(sys: &TieredSystem, pid: ProcessId, pte: Vpn) -> bool {
+    sys.process(pid)
+        .space
+        .entry(pte)
+        .flags
+        .has(PageFlags::PROBED)
 }
 
 /// CIT in µs from the 4-byte policy word: modular distance in µs space.
@@ -115,21 +148,28 @@ pub struct ChronoPolicy {
     limits: LimitEnforcer,
     /// Per-tier CIT heat maps (population-weighted samples).
     heat: [HeatMap; 2],
-    /// Per-page DCSC probe state: `PROBE_LISTED` / `PROBE_FIRST` bits in a
-    /// dense `[pid][vpn]` table, one byte per page. Flat rather than an
-    /// ordered map: it is read on every probe fault, and row-major
+    /// Per-page DCSC probe state in a dense `[pid][vpn]` table, one byte
+    /// per page: the `PROBE_LISTED` and `PROBE_FIRST` bits and, in the six
+    /// high bits, the page's queued-entry count on `probes`. Flat rather
+    /// than an ordered map: it is read on every probe fault, and row-major
     /// traversal stays deterministic if a drain is ever added.
-    /// `PROBE_LISTED` is the membership index over `probes`, set exactly
-    /// while the page is listed there: the cascade asks "does this pair
-    /// list the page?" on every probe fault, so the answer must be a
-    /// lookup, not a scan of thousands of entries.
+    /// `PROBE_LISTED` is the membership index, set exactly while the page
+    /// has a live entry: the cascade asks "does this pair list the page?"
+    /// on every probe fault, so the answer must be a lookup, not a scan of
+    /// thousands of entries.
     probe_state: PidVpnTable<u8>,
     /// First-round CITs in µs (the policy word's resolution), valid where
     /// `probe_state` has `PROBE_FIRST`.
     probe_first_us: PidVpnTable<u32>,
-    /// Outstanding probes: (pid, vpn, issue time), in issue order — the
-    /// expiry pass walks it to deposit idle ages and reset probe state.
-    probes: Vec<(ProcessId, Vpn, Nanos)>,
+    /// The probe list: (pid, vpn, issue time) in issue order, so the
+    /// entries old enough to expire form a prefix. Entries die lazily:
+    /// unlisting a page clears `PROBE_LISTED` and leaves its entry queued
+    /// until it reaches the front or a compaction drops it. A page's live
+    /// entry is its last queued one, while `PROBE_LISTED` is set.
+    probes: VecDeque<(ProcessId, Vpn, Nanos)>,
+    /// Live entries on `probes`; the rest are dead.
+    live_entries: usize,
+    dcsc_work: DcscWork,
     cit_threshold: Nanos,
     /// Latest DCSC overlap point (bucket floor), anchoring the threshold.
     overlap_floor: Option<Nanos>,
@@ -217,7 +257,9 @@ impl ChronoPolicy {
             limits: LimitEnforcer::new(),
             probe_state: PidVpnTable::new(),
             probe_first_us: PidVpnTable::new(),
-            probes: Vec::new(),
+            probes: VecDeque::new(),
+            live_entries: 0,
+            dcsc_work: DcscWork::default(),
             threshold_history: Vec::new(),
             rate_history: Vec::new(),
             collect_cit_samples: false,
@@ -331,6 +373,11 @@ impl ChronoPolicy {
         self.queue.flow()
     }
 
+    /// Work counts of this pair's DCSC layer.
+    pub fn dcsc_work(&self) -> DcscWork {
+        self.dcsc_work
+    }
+
     /// Retry-pool flow snapshot for invariant checking
     /// (`failed == retried + abandoned + pending`).
     pub fn retry_flow(&self) -> RetryFlow {
@@ -373,50 +420,91 @@ impl ChronoPolicy {
             .is_some_and(|&s| s & PROBE_LISTED != 0)
     }
 
-    /// Reference answer for [`ChronoPolicy::has_outstanding_probe`]: a scan
-    /// of the outstanding list itself.
+    /// The live entries of the probe list, in issue order: each page's
+    /// last queued entry, while the page is listed.
     #[cfg(test)]
-    pub(crate) fn listed_by_scan(&self, pid: ProcessId, pte: Vpn) -> bool {
-        self.listed_pages().any(|e| e == (pid, pte))
+    pub(crate) fn live_probes(&self) -> Vec<(ProcessId, Vpn, Nanos)> {
+        let mut seen = std::collections::BTreeSet::new();
+        let mut live: Vec<_> = self
+            .probes
+            .iter()
+            .rev()
+            .filter(|&&(p, v, _)| seen.insert((p, v)) && self.has_outstanding_probe(p, v))
+            .copied()
+            .collect();
+        live.reverse();
+        live
     }
 
-    /// The pages on the outstanding list, in issue order.
+    /// `(entries, live entries)` on the probe list.
     #[cfg(test)]
-    pub(crate) fn listed_pages(&self) -> impl Iterator<Item = (ProcessId, Vpn)> + '_ {
-        self.probes.iter().map(|&(p, v, _)| (p, v))
+    pub(crate) fn probe_list_shape(&self) -> (usize, usize) {
+        (self.probes.len(), self.live_entries)
     }
 
-    /// Holds the membership index to the outstanding list: no page listed
-    /// twice, and the indexed pages are exactly the listed ones.
+    /// Listed pages with an older entry of theirs still queued.
+    #[cfg(test)]
+    pub(crate) fn relisted_pages(&self) -> usize {
+        let rows = self.probe_state.rows();
+        let relisted = |&&s: &&u8| s & PROBE_LISTED != 0 && s & PROBE_QUEUED_MASK > PROBE_QUEUED;
+        rows.iter().flatten().filter(relisted).count()
+    }
+
+    /// Holds the per-page state bytes to the probe list: every page's
+    /// queued-entry count equals its entries on the list, the indexed pages
+    /// are exactly the pages of the live entries, the live count is
+    /// right, and the list is in issue order.
     #[cfg(test)]
     pub(crate) fn check_probe_index(&self) -> Result<(), String> {
-        let mut listed: Vec<(u16, u32)> = self.listed_pages().map(|(p, v)| (p.0, v.0)).collect();
-        listed.sort_unstable();
-        let entries = listed.len();
-        listed.dedup();
-        if listed.len() != entries {
-            return Err(format!("{} pages listed twice", entries - listed.len()));
+        let mut queued = std::collections::BTreeMap::new();
+        for &(p, v, _) in &self.probes {
+            *queued.entry((p.0, v.0)).or_insert(0u32) += 1;
         }
-        // Row-major traversal is (pid, vpn)-ascending, like `listed`.
-        let indexed: Vec<(u16, u32)> = self
-            .probe_state
-            .rows()
+        // Row-major traversal is (pid, vpn)-ascending, like `queued`.
+        let mut indexed = Vec::new();
+        for (p, row) in self.probe_state.rows().iter().enumerate() {
+            for (v, &s) in row.iter().enumerate() {
+                let key = (p as u16, v as u32);
+                let count = u32::from(s / PROBE_QUEUED);
+                let want = queued.get(&key).copied().unwrap_or(0);
+                if count != want {
+                    return Err(format!(
+                        "{key:?} counts {count} queued entries, list has {want}"
+                    ));
+                }
+                if s & PROBE_LISTED != 0 {
+                    indexed.push(key);
+                }
+            }
+        }
+        let mut live: Vec<(u16, u32)> = self
+            .live_probes()
             .iter()
-            .enumerate()
-            .flat_map(|(p, row)| {
-                row.iter()
-                    .enumerate()
-                    .filter(|&(_, &s)| s & PROBE_LISTED != 0)
-                    .map(move |(v, _)| (p as u16, v as u32))
-            })
+            .map(|&(p, v, _)| (p.0, v.0))
             .collect();
-        if indexed == listed {
+        if live.len() != self.live_entries {
+            return Err(format!(
+                "{} live entries, counter says {}",
+                live.len(),
+                self.live_entries
+            ));
+        }
+        if self
+            .probes
+            .iter()
+            .zip(self.probes.iter().skip(1))
+            .any(|(a, b)| a.2 > b.2)
+        {
+            return Err("probe list out of issue order".to_string());
+        }
+        live.sort_unstable();
+        if indexed == live {
             return Ok(());
         }
-        let first_diff = listed.iter().zip(&indexed).find(|(l, i)| l != i);
+        let first_diff = live.iter().zip(&indexed).find(|(l, i)| l != i);
         Err(format!(
-            "{} pages listed, {} indexed; first (listed, indexed) difference {first_diff:?}",
-            listed.len(),
+            "{} pages live, {} indexed; first (live, indexed) difference {first_diff:?}",
+            live.len(),
             indexed.len()
         ))
     }
@@ -520,8 +608,7 @@ impl ChronoPolicy {
                 .get(pid, pte)
                 .expect("PROBE_FIRST is only set with a recorded first round");
             self.deposit_heat_sample(sys, pid, pte, us_to_nanos(first.max(cit_us)));
-            let e = sys.process_mut(pid).space.entry_mut(pte);
-            e.flags.clear(PageFlags::PROBED);
+            sys.clear_probed(pid, pte, 0);
         }
     }
 
@@ -961,9 +1048,12 @@ impl ChronoPolicy {
         sys.schedule_in(self.cfg.scan_period, encode_token(EV_TUNE, 0, self.tag));
     }
 
-    fn dcsc_round(&mut self, sys: &mut TieredSystem) {
+    /// One DCSC round. `cleared` holds pages that lost `PG_probed` since
+    /// this pair's last round, in clear order; it must include every such
+    /// page the pair lists and may include others.
+    pub(crate) fn dcsc_round(&mut self, sys: &mut TieredSystem, cleared: &[(ProcessId, Vpn)]) {
         let now = sys.clock.now();
-        self.expire_stale_probes(sys, now);
+        self.expire_stale_probes(sys, now, cleared);
         for m in &mut self.heat {
             m.decay(self.cfg.heatmap_decay);
         }
@@ -1003,37 +1093,101 @@ impl ChronoPolicy {
         }
     }
 
+    /// The DCSC expiry pass. It touches only the probes it drops: the
+    /// expired prefix of the issue-ordered list, and the `cleared` pages.
     /// Probes that never faulted within the expiry window measure very cold
-    /// pages; count their elapsed idle age as the CIT so the cold mass is
-    /// represented in the heat maps.
-    fn expire_stale_probes(&mut self, sys: &mut TieredSystem, now: Nanos) {
+    /// pages; their elapsed idle age is deposited as the CIT so the cold
+    /// mass is represented in the heat maps. A probe whose page lost
+    /// `PG_probed` (it completed, or a migration or swap-out cut it short)
+    /// is dropped, unless the other pair of a cascade has probed the page
+    /// again since: then it stays listed. The kept set and the deposit
+    /// order equal those of a walk over every outstanding probe
+    /// (DESIGN §10.3).
+    fn expire_stale_probes(
+        &mut self,
+        sys: &mut TieredSystem,
+        now: Nanos,
+        cleared: &[(ProcessId, Vpn)],
+    ) {
         let expiry = Nanos(self.cfg.scan_period.as_nanos() * PROBE_EXPIRY_PERIODS);
-        let mut keep = Vec::with_capacity(self.probes.len());
-        let probes = std::mem::take(&mut self.probes);
-        for (pid, pte, issued) in probes {
-            // `!probed`: completed (already counted) or aborted by a
-            // migration that cleared `PG_probed`.
-            let probed = sys
-                .process(pid)
-                .space
-                .entry(pte)
-                .flags
-                .has(PageFlags::PROBED);
+        while let Some(&(pid, pte, issued)) = self.probes.front() {
             let age = now.saturating_sub(issued);
-            if probed && age < expiry {
-                keep.push((pid, pte, issued));
+            if age < expiry {
+                break;
+            }
+            self.probes.pop_front();
+            self.dcsc_work.expiry_touched += 1;
+            let state = self.probe_state.slot_mut(pid, pte);
+            *state -= PROBE_QUEUED;
+            // Only the page's last queued entry can be live.
+            if *state & PROBE_QUEUED_MASK != 0 || *state & PROBE_LISTED == 0 {
                 continue;
             }
-            if probed {
+            self.unlist(pid, pte);
+            if is_probed(sys, pid, pte) {
                 self.deposit_heat_sample(sys, pid, pte, age);
-                let e = sys.process_mut(pid).space.entry_mut(pte);
-                e.flags.clear(PageFlags::PROBED | PageFlags::PROT_NONE);
+                sys.clear_probed(pid, pte, PageFlags::PROT_NONE);
+                self.dcsc_work.expired_deposits += 1;
+            } else {
+                self.dcsc_work.dropped_cleared += 1;
             }
-            // Dropped from the list: unindex it and drop any stale
-            // first-round CIT so a future probe of this page starts fresh.
-            *self.probe_state.slot_mut(pid, pte) = 0;
         }
-        self.probes = keep;
+        for &(pid, pte) in cleared {
+            self.dcsc_work.expiry_touched += 1;
+            // Not listed (or already dropped: expired above, or an earlier
+            // clear of the same page), or probed again since by the other
+            // pair of a cascade.
+            if !self.has_outstanding_probe(pid, pte) || is_probed(sys, pid, pte) {
+                continue;
+            }
+            self.unlist(pid, pte);
+            self.dcsc_work.dropped_cleared += 1;
+        }
+        if self.probes.len() > 2 * self.live_entries {
+            self.compact_probes();
+        }
+    }
+
+    /// Drops `pte`'s live entry, and any first-round CIT so a future probe
+    /// of the page starts fresh. The entry stays queued, dead, until it
+    /// reaches the front of the list or a compaction.
+    fn unlist(&mut self, pid: ProcessId, pte: Vpn) {
+        *self.probe_state.slot_mut(pid, pte) &= PROBE_QUEUED_MASK;
+        self.live_entries -= 1;
+    }
+
+    /// Appends a live entry for `pte`. The rare page that would need a 64th
+    /// queued entry gets a compaction first, which leaves it none (a page
+    /// is listed only when it is not listed already).
+    fn list_probe(&mut self, pid: ProcessId, pte: Vpn, now: Nanos) {
+        if *self.probe_state.slot_mut(pid, pte) & PROBE_QUEUED_MASK == PROBE_QUEUED_MASK {
+            self.compact_probes();
+        }
+        let state = self.probe_state.slot_mut(pid, pte);
+        *state = (*state + PROBE_QUEUED) | PROBE_LISTED;
+        self.probes.push_back((pid, pte, now));
+        self.live_entries += 1;
+        self.dcsc_work.probes_issued += 1;
+    }
+
+    /// Drops every dead entry from the probe list, keeping issue order.
+    /// Each page's queued count falls to one if it is listed, else zero.
+    fn compact_probes(&mut self) {
+        let Self {
+            probes,
+            probe_state,
+            dcsc_work,
+            ..
+        } = self;
+        dcsc_work.expiry_touched += probes.len() as u64;
+        probes.retain(|&(pid, pte, _)| {
+            let state = probe_state.slot_mut(pid, pte);
+            if *state & PROBE_QUEUED_MASK == PROBE_QUEUED && *state & PROBE_LISTED != 0 {
+                return true;
+            }
+            *state -= PROBE_QUEUED;
+            false
+        });
     }
 
     fn issue_probes(&mut self, sys: &mut TieredSystem, now: Nanos) {
@@ -1053,6 +1207,7 @@ impl ChronoPolicy {
             if issued >= n {
                 break;
             }
+            self.dcsc_work.random_draws += 1;
             let target = self.rng.below(total_pages);
             let (pid, vpn) = {
                 let mut acc = 0u64;
@@ -1087,8 +1242,7 @@ impl ChronoPolicy {
                 !self.has_outstanding_probe(pid, pte),
                 "probe of ({pid:?}, {pte:?}) issued twice"
             );
-            self.probes.push((pid, pte, now));
-            *self.probe_state.slot_mut(pid, pte) |= PROBE_LISTED;
+            self.list_probe(pid, pte, now);
             issued += 1;
         }
         // Probe issuing is cheap kernel work (random PTE pokes).
@@ -1226,7 +1380,11 @@ impl TieringPolicy for ChronoPolicy {
             EV_MIGRATE => self.drain_promotions(sys),
             EV_DEMOTE => self.proactive_demote(sys),
             EV_TUNE => self.tune_period(sys),
-            EV_DCSC => self.dcsc_round(sys),
+            EV_DCSC => {
+                // A standalone pair owns the probe-clear log.
+                let cleared = sys.take_probe_clears();
+                self.dcsc_round(sys, &cleared);
+            }
             _ => unreachable!("unknown Chrono event {}", kind),
         }
     }
@@ -1440,6 +1598,28 @@ mod tests {
         // (armed) or have been re-promoted (flag cleared). Just assert the
         // mechanism ran: demotions happened and thrash accounting is sane.
         assert!(sys.stats.demoted_pages > 0);
+    }
+
+    #[test]
+    fn probe_list_purges_before_a_page_count_overflows() {
+        let mut policy = ChronoPolicy::new(test_config());
+        let pid = ProcessId(0);
+        // A hundred live pages keep dead entries from outnumbering live
+        // ones, so only the six-bit count can force a compaction...
+        for v in 0..100 {
+            policy.list_probe(pid, Vpn(v), Nanos(u64::from(v)));
+        }
+        // ...while one page is listed and dropped a hundred times.
+        let page = Vpn(500);
+        for i in 0..100 {
+            policy.list_probe(pid, page, Nanos(1_000 + i));
+            policy.unlist(pid, page);
+            policy.check_probe_index().unwrap();
+        }
+        // The 64th entry found the count full: the purge dropped the 63
+        // dead ones queued before it, and 37 have queued since.
+        assert_eq!(policy.probe_list_shape(), (137, 100));
+        assert_eq!(policy.dcsc_work().probes_issued, 200);
     }
 
     #[test]

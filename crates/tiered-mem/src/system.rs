@@ -196,6 +196,10 @@ pub struct TieredSystem {
     /// Migrations that failed at completion time (the caller is gone);
     /// drained by policies via [`TieredSystem::take_migration_failures`].
     failed_async: Vec<MigrationFailure>,
+    /// PTE pages whose `PG_probed` bit was cleared, in clear order; drained
+    /// by DCSC via [`TieredSystem::take_probe_clears`]. Only set bits are
+    /// logged, so a run that never probes never grows it.
+    probe_clears: Vec<(ProcessId, Vpn)>,
     /// Per-tier frames a capacity shrink still owes: the free pool was
     /// short at event time, so the remainder is taken as frames free up.
     shrink_debt: Vec<u32>,
@@ -296,6 +300,7 @@ impl TieredSystem {
             cfg,
             contention: (0..n).map(|_| TierLoad::new()).collect(),
             failed_async: Vec::new(),
+            probe_clears: Vec::new(),
             shrink_debt: vec![0; n],
             health: vec![TierHealth::Online; n],
             evac_cursor: vec![0; n],
@@ -747,7 +752,9 @@ impl TieredSystem {
 
     /// Writes the mapping unit containing `vpn` out to the swap device and
     /// frees its frames — slow-tier reclamation under memory pressure
-    /// (Section 3.3.1). The next access takes a major fault.
+    /// (Section 3.3.1). The next access takes a major fault. A set
+    /// `PG_probed` is cleared and logged for
+    /// [`TieredSystem::take_probe_clears`].
     pub fn swap_out(&mut self, pid: ProcessId, vpn: Vpn) -> Result<u32, MigrateError> {
         let space = &self.procs[pid.0 as usize].space;
         let head = space.pte_page(vpn);
@@ -785,6 +792,7 @@ impl TieredSystem {
             }
         }
         let e = self.procs[pid.0 as usize].space.entry_mut(head);
+        let probed = e.flags.has(PageFlags::PROBED);
         e.flags.clear(
             PageFlags::PRESENT
                 | PageFlags::PROT_NONE
@@ -796,6 +804,9 @@ impl TieredSystem {
                 | PageFlags::POISONED,
         );
         e.flags.set(PageFlags::SWAPPED);
+        if probed {
+            self.probe_clears.push((pid, head));
+        }
         self.lru_remove(pid, head);
         self.procs[pid.0 as usize].resident_frames -= unit;
         self.stats.swapped_out_pages += unit as u64;
@@ -1207,7 +1218,8 @@ impl TieredSystem {
     /// the reserved destination frames, and re-homes the unit's LRU entry.
     ///
     /// Flag handling: `MIGRATING`, `PROT_NONE`, `CANDIDATE` and `PROBED` are
-    /// cleared (the unit is freshly remapped); promotion clears `DEMOTED`.
+    /// cleared (the unit is freshly remapped; a set `PROBED` is logged for
+    /// [`TieredSystem::take_probe_clears`]); promotion clears `DEMOTED`.
     /// Policy words are preserved — their lifecycle belongs to the policy.
     fn complete_txn(&mut self, txn: MigrationTxn) {
         let MigrationTxn {
@@ -1248,6 +1260,7 @@ impl TieredSystem {
 
         let promoted = to < from;
         let e = self.procs[pid.0 as usize].space.entry_mut(head);
+        let probed = e.flags.has(PageFlags::PROBED);
         e.flags.clear(
             PageFlags::MIGRATING
                 | PageFlags::PROT_NONE
@@ -1257,6 +1270,9 @@ impl TieredSystem {
         );
         if promoted {
             e.flags.clear(PageFlags::DEMOTED);
+        }
+        if probed {
+            self.probe_clears.push((pid, head));
         }
 
         // LRU: leave the old tier's lists, join the new tier's. A promoted
@@ -1368,6 +1384,28 @@ impl TieredSystem {
     /// call. Policies use this to feed their retry machinery.
     pub fn take_migration_failures(&mut self) -> Vec<MigrationFailure> {
         std::mem::take(&mut self.failed_async)
+    }
+
+    /// Clears `PG_probed` and any other bits in `also` on the entry of
+    /// `vpn`, logging the page for [`TieredSystem::take_probe_clears`] if
+    /// `PG_probed` was set. Policies clear the bit only through this, so
+    /// the log sees every clear the substrate's own paths do not make.
+    pub fn clear_probed(&mut self, pid: ProcessId, vpn: Vpn, also: u16) {
+        let e = self.procs[pid.0 as usize].space.entry_mut(vpn);
+        let probed = e.flags.has(PageFlags::PROBED);
+        e.flags.clear(PageFlags::PROBED | also);
+        if probed {
+            self.probe_clears.push((pid, vpn));
+        }
+    }
+
+    /// Drains the PTE pages that lost `PG_probed` since the last call, in
+    /// clear order. Four places clear the bit: migration completion,
+    /// `swap_out`, and the two policy clears routed through
+    /// [`TieredSystem::clear_probed`]. DCSC uses the log to drop completed
+    /// or aborted probes without re-reading every outstanding one.
+    pub fn take_probe_clears(&mut self) -> Vec<(ProcessId, Vpn)> {
+        std::mem::take(&mut self.probe_clears)
     }
 
     /// Fires capacity and tier events from the fault plan that are due at
@@ -2631,6 +2669,97 @@ mod tests {
         sys.clock.advance(Nanos::from_millis(10));
         assert_eq!(sys.complete_due_migrations(), 0);
         assert_eq!(sys.stats.demoted_pages, 0);
+    }
+
+    fn arm_probe(sys: &mut TieredSystem, pid: ProcessId, vpn: Vpn) {
+        let e = sys.process_mut(pid).space.entry_mut(vpn);
+        e.flags.set(PageFlags::PROBED | PageFlags::PROT_NONE);
+    }
+
+    #[test]
+    fn probe_clears_are_logged_once_per_set_bit() {
+        let mut sys = small_sys();
+        let pid = sys.add_process(128, PageSize::Base);
+        for i in 0..128 {
+            sys.access(pid, Vpn(i), false);
+        }
+        // Migration completion, both the async pump and the sync wrapper.
+        arm_probe(&mut sys, pid, Vpn(100));
+        sys.begin_migrate(pid, Vpn(100), TierId::FAST, MigrateMode::Async)
+            .unwrap();
+        sys.clock.advance(Nanos::from_millis(1));
+        assert_eq!(sys.complete_due_migrations(), 1);
+        arm_probe(&mut sys, pid, Vpn(101));
+        sys.migrate(pid, Vpn(101), TierId::FAST, MigrateMode::Async)
+            .unwrap();
+        // Reclaim to swap.
+        arm_probe(&mut sys, pid, Vpn(102));
+        sys.swap_out(pid, Vpn(102)).unwrap();
+        // The policy-side clear, which also takes the extra bits it is given.
+        arm_probe(&mut sys, pid, Vpn(103));
+        sys.clear_probed(pid, Vpn(103), PageFlags::PROT_NONE);
+        let e = sys.process(pid).space.entry(Vpn(103));
+        assert!(!e.flags.has_any(PageFlags::PROBED | PageFlags::PROT_NONE));
+        for v in 100..=102 {
+            let e = sys.process(pid).space.entry(Vpn(v));
+            assert!(!e.flags.has(PageFlags::PROBED), "vpn {v} kept PG_probed");
+        }
+        let logged: Vec<(ProcessId, Vpn)> = (100..=103).map(|v| (pid, Vpn(v))).collect();
+        assert_eq!(sys.take_probe_clears(), logged);
+        assert!(
+            sys.take_probe_clears().is_empty(),
+            "drain must empty the log"
+        );
+
+        // The same paths on unprobed pages log nothing, and clearing an
+        // already clear bit logs nothing.
+        sys.begin_migrate(pid, Vpn(104), TierId::FAST, MigrateMode::Async)
+            .unwrap();
+        sys.clock.advance(Nanos::from_millis(1));
+        assert_eq!(sys.complete_due_migrations(), 1);
+        sys.migrate(pid, Vpn(105), TierId::FAST, MigrateMode::Async)
+            .unwrap();
+        sys.swap_out(pid, Vpn(106)).unwrap();
+        sys.clear_probed(pid, Vpn(103), PageFlags::PROT_NONE);
+        sys.clear_probed(pid, Vpn(107), 0);
+        assert!(sys.take_probe_clears().is_empty());
+    }
+
+    #[test]
+    fn abort_and_split_log_no_probe_clears() {
+        let mut sys = small_sys();
+        let pid = sys.add_process(128, PageSize::Base);
+        for i in 0..128 {
+            sys.access(pid, Vpn(i), false);
+        }
+        // An aborted copy leaves the probe armed on the source page.
+        arm_probe(&mut sys, pid, Vpn(100));
+        sys.begin_migrate(pid, Vpn(100), TierId::FAST, MigrateMode::Async)
+            .unwrap();
+        assert!(sys.abort_migration(pid, Vpn(100), true));
+        assert!(sys
+            .process(pid)
+            .space
+            .entry(Vpn(100))
+            .flags
+            .has(PageFlags::PROBED));
+        assert!(sys.take_probe_clears().is_empty());
+
+        // A split copies the head's flags to the tails and clears nothing.
+        let (mut sys, pid) = huge_sys();
+        let head = Vpn(700).huge_head();
+        arm_probe(&mut sys, pid, head);
+        sys.begin_migrate(pid, head, TierId::SLOW, MigrateMode::Async)
+            .unwrap();
+        sys.split_block(pid, head);
+        assert_eq!(sys.stats.aborted_migrations, 1);
+        assert!(sys
+            .process(pid)
+            .space
+            .entry(head)
+            .flags
+            .has(PageFlags::PROBED));
+        assert!(sys.take_probe_clears().is_empty());
     }
 
     #[test]

@@ -208,6 +208,30 @@ mod tests {
     }
 
     #[test]
+    fn fig10_shape_leaves_the_probe_clear_log_empty() {
+        // Nothing drains the substrate's probe-clear log under TPP, so it
+        // must never grow: TPP sets no `PG_probed`, and only set bits are
+        // logged, however much the run migrates and swaps.
+        let pages = 8192;
+        let mut sys = TieredSystem::new(SystemConfig::quarter_fast(pages + pages / 4));
+        let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(pages, 0.95, 1010));
+        sys.add_process(w.address_space_pages(), PageSize::Base);
+        let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
+        let mut policy = Tpp::new(TppConfig {
+            scan_period: Nanos::from_millis(40),
+            scan_step_pages: 512,
+            demote_interval: Nanos::from_millis(10),
+        });
+        SimulationDriver::new(DriverConfig {
+            run_for: Nanos::from_millis(300),
+            ..Default::default()
+        })
+        .run(&mut sys, &mut wls, &mut policy);
+        assert!(sys.stats.promoted_pages > 0 && sys.stats.demoted_pages > 0);
+        assert!(sys.take_probe_clears().is_empty());
+    }
+
+    #[test]
     fn scans_only_poison_slow_pages() {
         // Fast-tier pages never hint-fault under TPP, so hint faults must be
         // well below what Linux-NB (which marks everything) generates.
