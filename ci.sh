@@ -30,8 +30,8 @@ cargo fmt --check
 echo "== cargo clippy -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "== cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== harness lint (chrono-lint: zero unwaived findings)"
 ./target/release/harness lint

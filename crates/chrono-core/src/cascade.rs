@@ -21,16 +21,17 @@
 //!   DCSC event and queued for each pair that lists the page; the pair
 //!   settles them at its next expiry pass.
 //!
-//! The two-tier configuration is exactly one pair and behaves identically
-//! to a standalone [`ChronoPolicy`].
+//! The two-tier configuration is exactly one pair. It behaves identically
+//! to a standalone [`ChronoPolicy`] on a healthy chain and under the
+//! canonical fault plan, but not under tier outages: the cascade suspends a
+//! pair whose lower tier is spliced out of the chain, and a standalone pair
+//! has no tier-health handling at all (DESIGN.md §5.3).
 
 use tiered_mem::{AccessResult, ProcessId, TierHealth, TierId, TieredSystem, Vpn, MAX_TIERS};
 use tiering_policies::{decode_token, TieringPolicy};
 
 use crate::config::ChronoConfig;
 use crate::policy::{ChronoPolicy, EV_DCSC, EV_MIGRATE};
-use crate::queue::QueueFlow;
-use crate::resilience::RetryFlow;
 
 /// Cascaded Chrono: one [`ChronoPolicy`] per adjacent pair of managed tiers.
 pub struct CascadeChrono {
@@ -42,7 +43,8 @@ pub struct CascadeChrono {
     /// reschedule without doing work until the tier rejoins.
     suspended: Vec<bool>,
     /// Whether any pair is currently suspended or retargeted, so healthy
-    /// runs pay one boolean check per event and nothing else.
+    /// runs pay one read-only pass over the tier-health slice and one
+    /// boolean check per event, and allocate nothing.
     rerouted: bool,
     name: &'static str,
 }
@@ -92,16 +94,6 @@ impl CascadeChrono {
         &self.pairs
     }
 
-    /// Per-pair promotion-queue flow snapshots (for invariant checks).
-    pub fn queue_flows(&self) -> Vec<QueueFlow> {
-        self.pairs.iter().map(|p| p.queue_flow()).collect()
-    }
-
-    /// Per-pair retry flow snapshots (for invariant checks).
-    pub fn retry_flows(&self) -> Vec<RetryFlow> {
-        self.pairs.iter().map(|p| p.retry_flow()).collect()
-    }
-
     /// Which pairs are currently suspended (lower tier spliced out).
     pub fn suspended_pairs(&self) -> &[bool] {
         &self.suspended
@@ -116,13 +108,17 @@ impl CascadeChrono {
     /// retargeted to the nearest non-spliced tier at or above its home
     /// position, which is exactly the splice edge the substrate's
     /// `route_allowed` accepts. An all-Online chain restores every pair to
-    /// its home edge and this becomes a single boolean check per event.
+    /// its home edge, after which this is a read-only check per event.
     fn sync_tier_health(&mut self, sys: &mut TieredSystem) {
-        let health = sys.tier_health_all().to_vec();
-        let any_unhealthy = health.iter().any(|h| !matches!(h, TierHealth::Online));
-        if !any_unhealthy && !self.rerouted {
+        let healthy = sys
+            .tier_health_all()
+            .iter()
+            .all(|h| matches!(h, TierHealth::Online));
+        if healthy && !self.rerouted {
             return;
         }
+        // The pairs take `sys` mutably below, so reroute from a copy.
+        let health = sys.tier_health_all().to_vec();
         let mut rerouted = false;
         for i in 0..self.pairs.len() {
             let lower_out = health[i + 1].spliced_out();
@@ -226,12 +222,6 @@ impl TieringPolicy for CascadeChrono {
             self.pairs[t - 1].on_hint_fault(sys, pid, vpn, write, res);
         }
     }
-
-    fn on_access(&mut self, sys: &mut TieredSystem, pid: ProcessId, vpn: Vpn, write: bool) {
-        for p in &mut self.pairs {
-            p.on_access(sys, pid, vpn, write);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -268,23 +258,41 @@ mod tests {
     #[test]
     fn two_tier_cascade_matches_standalone_chrono_exactly() {
         // The cascade with one pair must be bit-identical to the standalone
-        // policy: same access count, same promotion/demotion totals, same
-        // FMAR bits.
-        let (casc_sys, _) = run_cascade(SystemConfig::dram_pmem(1024, 4096), 300);
-        let mut sys = TieredSystem::new(SystemConfig::dram_pmem(1024, 4096));
-        let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(4096, 0.7, 1));
-        sys.add_process(w.address_space_pages(), PageSize::Base);
-        let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
-        let mut policy = ChronoPolicy::new(test_config());
-        SimulationDriver::new(DriverConfig {
-            run_for: Nanos::from_millis(300),
-            ..Default::default()
-        })
-        .run(&mut sys, &mut wls, &mut policy);
-        assert_eq!(casc_sys.stats.promoted_pages, sys.stats.promoted_pages);
-        assert_eq!(casc_sys.stats.demoted_pages, sys.stats.demoted_pages);
-        assert_eq!(casc_sys.stats.hint_faults, sys.stats.hint_faults);
-        assert_eq!(casc_sys.stats.fmar().to_bits(), sys.stats.fmar().to_bits());
+        // policy on a healthy chain and under the canonical fault plan: same
+        // promotion/demotion totals, same hint faults, same FMAR bits. Tier
+        // outages differ by design (only the cascade suspends a pair).
+        let canonical = tiered_mem::FaultPlan::canonical(7, Nanos::from_millis(300));
+        for plan in [None, Some(canonical)] {
+            let faulty = plan.is_some();
+            let mut syscfg = SystemConfig::dram_pmem(1024, 4096);
+            syscfg.fault_plan = plan;
+            let (casc_sys, _) = run_cascade(syscfg.clone(), 300);
+            let mut sys = TieredSystem::new(syscfg);
+            let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(4096, 0.7, 1));
+            sys.add_process(w.address_space_pages(), PageSize::Base);
+            let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
+            let mut policy = ChronoPolicy::new(test_config());
+            SimulationDriver::new(DriverConfig {
+                run_for: Nanos::from_millis(300),
+                ..Default::default()
+            })
+            .run(&mut sys, &mut wls, &mut policy);
+            let (a, b) = (&casc_sys.stats, &sys.stats);
+            assert_eq!(a.promoted_pages, b.promoted_pages);
+            assert_eq!(a.demoted_pages, b.demoted_pages);
+            assert_eq!(a.hint_faults, b.hint_faults);
+            assert_eq!(a.fmar().to_bits(), b.fmar().to_bits());
+            let copy_faults = a.transient_copy_faults + a.poisoned_copy_faults;
+            assert_eq!(
+                copy_faults,
+                b.transient_copy_faults + b.poisoned_copy_faults
+            );
+            assert_eq!(
+                copy_faults > 0,
+                faulty,
+                "the plan must fire exactly when set"
+            );
+        }
     }
 
     #[test]
@@ -298,11 +306,10 @@ mod tests {
             assert!(below + above > 0, "pair {i} never classified a fault");
         }
         // Queue flow conserves on every edge.
-        for (i, f) in policy.queue_flows().iter().enumerate() {
-            assert!(f.conserved(), "pair {i} queue flow: {f:?}");
-        }
-        for (i, f) in policy.retry_flows().iter().enumerate() {
-            assert!(f.conserved(), "pair {i} retry flow: {f:?}");
+        for (i, p) in policy.pairs().iter().enumerate() {
+            let (q, r) = (p.queue_flow(), p.retry_flow());
+            assert!(q.conserved(), "pair {i} queue flow: {q:?}");
+            assert!(r.conserved(), "pair {i} retry flow: {r:?}");
         }
     }
 
@@ -400,11 +407,10 @@ mod tests {
             faulty >= healthy * 0.75,
             "FMAR {faulty} fell below 75% of fault-free {healthy}"
         );
-        for (i, f) in policy.queue_flows().iter().enumerate() {
-            assert!(f.conserved(), "pair {i} queue flow: {f:?}");
-        }
-        for (i, f) in policy.retry_flows().iter().enumerate() {
-            assert!(f.conserved(), "pair {i} retry flow: {f:?}");
+        for (i, p) in policy.pairs().iter().enumerate() {
+            let (q, r) = (p.queue_flow(), p.retry_flow());
+            assert!(q.conserved(), "pair {i} queue flow: {q:?}");
+            assert!(r.conserved(), "pair {i} retry flow: {r:?}");
         }
     }
 
@@ -418,7 +424,8 @@ mod tests {
         let (sys, policy) =
             run_cascade_with_plan(SystemConfig::three_tier(768, 1536, 4096), plan, 500);
         assert!(sys.stats.transient_copy_faults > 0, "no faults injected");
-        for (i, f) in policy.retry_flows().iter().enumerate() {
+        for (i, p) in policy.pairs().iter().enumerate() {
+            let f = p.retry_flow();
             assert!(f.conserved(), "pair {i} retry flow: {f:?}");
         }
         assert!(policy.suspended_pairs().iter().all(|s| !s));
@@ -723,10 +730,6 @@ mod tests {
             }
             self.substrate_boundary(sys);
             self.check_unchanged(Some((pid, pte)));
-        }
-
-        fn on_access(&mut self, sys: &mut TieredSystem, pid: ProcessId, vpn: Vpn, write: bool) {
-            self.inner.policy().on_access(sys, pid, vpn, write);
         }
     }
 

@@ -78,12 +78,6 @@ pub struct ChronoConfig {
     /// Consecutive starved DCSC rounds (after the first successful tune,
     /// with fault damage present) before degrading to semi-auto tuning.
     pub dcsc_starved_rounds: u32,
-    /// HybridTier-style per-region tracker switch: regions whose hint-fault
-    /// overhead exceeds a fixed share of the scan period flip from
-    /// fault-based CIT tracking to a cheaper sampled-frequency mode for the
-    /// next period (and back when the pressure subsides). Off by default —
-    /// the two-tier goldens pin the pure-CIT behaviour.
-    pub adaptive_tracking: bool,
 }
 
 impl Default for ChronoConfig {
@@ -111,7 +105,6 @@ impl Default for ChronoConfig {
             breaker_threshold: 0.5,
             breaker_min_attempts: 16,
             dcsc_starved_rounds: 8,
-            adaptive_tracking: false,
         }
     }
 }

@@ -33,7 +33,6 @@ pub mod queue;
 pub mod resilience;
 pub mod theory;
 pub mod thrash;
-pub mod tracker;
 pub mod tuning;
 
 pub use candidates::CandidateSet;
@@ -47,4 +46,3 @@ pub use policy::{ChronoPolicy, DcscWork};
 pub use queue::{PromotionQueue, QueueFlow};
 pub use resilience::{BreakerTransition, MigrationBreaker, RetryEntry, RetryFlow, RetryPool};
 pub use thrash::ThrashingMonitor;
-pub use tracker::RegionTracker;

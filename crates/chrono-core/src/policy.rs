@@ -33,7 +33,6 @@ use crate::limits::LimitEnforcer;
 use crate::queue::{PendingPromotion, PromotionQueue};
 use crate::resilience::{MigrationBreaker, RetryFlow, RetryPool};
 use crate::thrash::ThrashingMonitor;
-use crate::tracker::RegionTracker;
 use crate::tuning;
 
 pub(crate) const EV_SCAN: u16 = 1;
@@ -190,11 +189,6 @@ pub struct ChronoPolicy {
     cit_samples: Vec<(ProcessId, Vpn, Nanos)>,
     scan_faults_below: u64,
     scan_faults_above: u64,
-    /// HybridTier-style per-region tracker switch (present only when
-    /// `cfg.adaptive_tracking` is on): regions whose hint-fault overhead
-    /// spikes flip to a sampled-frequency mode and skip Ticking-scan
-    /// poisoning for a period.
-    tracker: Option<RegionTracker>,
 }
 
 impl ChronoPolicy {
@@ -237,7 +231,6 @@ impl ChronoPolicy {
             cit_threshold: threshold,
             retry: RetryPool::new(cfg.retry_max_attempts, cfg.retry_pool_cap),
             breaker: MigrationBreaker::new(cfg.breaker_threshold, cfg.breaker_min_attempts),
-            tracker: cfg.adaptive_tracking.then(RegionTracker::new),
             upper,
             lower,
             tag,
@@ -267,11 +260,6 @@ impl ChronoPolicy {
             scan_faults_below: 0,
             scan_faults_above: 0,
         }
-    }
-
-    /// The default configuration (Table 2), scaled to a scan period.
-    pub fn with_scan_period(scan_period: Nanos, scan_step_pages: u32) -> ChronoPolicy {
-        ChronoPolicy::new(ChronoConfig::scaled(scan_period, scan_step_pages))
     }
 
     /// Current CIT threshold.
@@ -518,11 +506,6 @@ impl ChronoPolicy {
         self.probe_first_us.get(pid, pte).map(|&us| us_to_nanos(us))
     }
 
-    /// The per-region tracker, when `adaptive_tracking` is on.
-    pub fn region_tracker(&self) -> Option<&RegionTracker> {
-        self.tracker.as_ref()
-    }
-
     /// The effective threshold for a mapping unit (huge blocks scale by
     /// 1/512, Section 3.4).
     fn effective_threshold(&self, sys: &TieredSystem, pid: ProcessId, pte: Vpn) -> Nanos {
@@ -544,30 +527,18 @@ impl ChronoPolicy {
     // ----- Ticking-scan ----------------------------------------------------
 
     fn ticking_scan(&mut self, sys: &mut TieredSystem, pid: ProcessId) {
-        let Self {
-            cursors,
-            tracker,
-            lower,
-            ..
-        } = self;
-        let lower = *lower;
-        let tracker = tracker.as_ref();
-        let cur = &mut cursors[pid.0 as usize];
+        let lower = self.lower;
+        let cur = &mut self.cursors[pid.0 as usize];
         let stamp = now_us(sys.clock.now());
         let mut visited = 0u64;
         cur.cursor = sys
             .process_mut(pid)
             .space
-            .walk_range(cur.cursor, cur.step_pages, |vpn, e| {
+            .walk_range(cur.cursor, cur.step_pages, |_, e| {
                 visited += 1;
                 // Only lower-tier pages are unmap-tracked by the Ticking-scan;
-                // upper-tier CIT statistics come from DCSC probes. Regions the
-                // tracker flipped to sampled-frequency mode are left unpoisoned:
-                // their hotness comes from access sampling, not hint faults.
-                if e.tier() == lower
-                    && !e.flags.has(PageFlags::PROT_NONE)
-                    && tracker.is_none_or(|t| !t.is_sampled(pid, vpn))
-                {
+                // upper-tier CIT statistics come from DCSC probes.
+                if e.tier() == lower && !e.flags.has(PageFlags::PROT_NONE) {
                     e.flags.set(PageFlags::PROT_NONE);
                     e.policy_word = stamp;
                 }
@@ -634,9 +605,6 @@ impl ChronoPolicy {
         let e = sys.process(pid).space.entry(pte);
         if e.tier() != self.lower {
             return;
-        }
-        if let Some(t) = &mut self.tracker {
-            t.record_fault(pid, pte);
         }
         if self.collect_cit_samples && self.cit_samples.len() < 1 << 20 {
             self.cit_samples.push((pid, pte, cit));
@@ -1010,11 +978,6 @@ impl ChronoPolicy {
             }
             self.cit_threshold = th;
         }
-        // Tracker period boundary: regions re-decide their mode from the
-        // fault/sample pressure observed this period.
-        if let Some(t) = &mut self.tracker {
-            t.end_period();
-        }
         // Keep the pro watermark sized to the current rate limit. The
         // watermarks belong to the top tier, so only the top pair retunes.
         if self.upper == TierId::FAST {
@@ -1349,9 +1312,6 @@ impl TieringPolicy for ChronoPolicy {
                 cursor.event_interval,
                 encode_token(EV_SCAN, pid.0, self.tag),
             );
-            if let Some(t) = &mut self.tracker {
-                t.ensure_process(pid, pages);
-            }
             self.cursors.push(cursor);
         }
         sys.schedule_in(
@@ -1406,40 +1366,6 @@ impl TieringPolicy for ChronoPolicy {
             self.handle_probe_fault(sys, pid, pte, cit_us, res.fault_time);
         } else {
             self.handle_scan_fault(sys, pid, pte, us_to_nanos(cit_us));
-        }
-    }
-
-    fn on_access(&mut self, sys: &mut TieredSystem, pid: ProcessId, vpn: Vpn, _write: bool) {
-        // Sampled-frequency mode (adaptive tracking only): regions whose
-        // fault overhead flipped them out of CIT tracking estimate hotness
-        // from a deterministic access-stride sample instead. A lower-tier
-        // page accumulating enough sampled hits within a period enqueues
-        // directly — it already proved the equivalent of the filter rounds.
-        let Some(tracker) = &mut self.tracker else {
-            return;
-        };
-        if !tracker.observe(pid, vpn) {
-            return;
-        }
-        let pte = sys.process(pid).space.pte_page(vpn);
-        let e = sys.process(pid).space.entry(pte);
-        if e.tier() != self.lower || e.flags.has_any(PageFlags::CANDIDATE | PageFlags::MIGRATING) {
-            return;
-        }
-        if !tracker.record_sampled_hit(pid, pte, self.cfg.filter_rounds) {
-            return;
-        }
-        let unit = Self::unit_pages(sys, pid, pte);
-        if self.queue.enqueue(PendingPromotion {
-            pid,
-            vpn: pte,
-            pages: unit,
-        }) {
-            sys.process_mut(pid)
-                .space
-                .entry_mut(pte)
-                .flags
-                .set(PageFlags::CANDIDATE);
         }
     }
 }

@@ -23,12 +23,14 @@
 //! plus the injected arrival-order-grants self-test, which must *fail* to
 //! converge or the checker itself is broken.
 
+use std::path::Path;
+
 use tiering_analysis::{
     baseline_path, check_health_model, check_model, check_races, describe_health_state,
     findings_to_json, golden_path, health_legality_rules, health_transitions, legality_rules,
     lint_workspace, race_configs, race_golden_path, render_health_report, render_race_report,
     render_report, tier_health, tier_health_golden_path, transitions, workspace_root, Finding,
-    GrantRule, RULES,
+    GrantRule, Transition, RULES,
 };
 
 /// Removes `--flag` from `args`, reporting whether it was present.
@@ -38,6 +40,49 @@ fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
     };
     args.remove(pos);
     true
+}
+
+/// Writes `rendered` to `golden` under `--bless`, otherwise diffs it
+/// against the committed file, printing the outcome either way. `cmd`
+/// names the subcommand and `what` the rendered artifact in the messages.
+/// Returns whether the golden matched (or was written); `Err` carries the
+/// exit code of a failed bless write.
+fn bless_or_diff(
+    cmd: &str,
+    what: &str,
+    golden: &Path,
+    rendered: &str,
+    bless: bool,
+) -> Result<bool, i32> {
+    if bless {
+        if let Some(dir) = golden.parent() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        if let Err(e) = std::fs::write(golden, rendered) {
+            eprintln!("{cmd}: cannot write {}: {e}", golden.display());
+            return Err(1);
+        }
+        println!("blessed {}", golden.display());
+        return Ok(true);
+    }
+    match std::fs::read_to_string(golden) {
+        Ok(committed) if committed == rendered => {
+            println!("golden {} ok", golden.display());
+            Ok(true)
+        }
+        Ok(_) => {
+            println!(
+                "golden {} DIFFERS from the computed {what}; \
+                 inspect with `harness {cmd} --bless` + git diff",
+                golden.display()
+            );
+            Ok(false)
+        }
+        Err(e) => {
+            println!("golden {} unreadable ({e}); run --bless", golden.display());
+            Ok(false)
+        }
+    }
 }
 
 /// The `--rules` catalog, one line per rule. Pure so the output-sync test
@@ -140,34 +185,15 @@ pub fn run_model_check(mut args: Vec<String>) -> i32 {
     }
 
     let rendered = render_report(&report);
-    let golden = golden_path();
-    if bless {
-        if let Some(dir) = golden.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(&golden, &rendered) {
-            eprintln!("model-check: cannot write {}: {e}", golden.display());
-            return 1;
-        }
-        println!("blessed {}", golden.display());
-    } else {
-        match std::fs::read_to_string(&golden) {
-            Ok(committed) if committed == rendered => {
-                println!("golden {} ok", golden.display());
-            }
-            Ok(_) => {
-                println!(
-                    "golden {} DIFFERS from the computed reachable set; \
-                     inspect with `harness model-check --bless` + git diff",
-                    golden.display()
-                );
-                failed = true;
-            }
-            Err(e) => {
-                println!("golden {} unreadable ({e}); run --bless", golden.display());
-                failed = true;
-            }
-        }
+    match bless_or_diff(
+        "model-check",
+        "reachable set",
+        &golden_path(),
+        &rendered,
+        bless,
+    ) {
+        Ok(ok) => failed |= !ok,
+        Err(code) => return code,
     }
 
     // Second pillar of the same gate: the tier failure-domain lifecycle
@@ -196,37 +222,16 @@ pub fn run_model_check(mut args: Vec<String>) -> i32 {
 
     let hrendered = render_health_report(&hreport);
     let hgolden = tier_health_golden_path();
-    if bless {
-        if let Err(e) = std::fs::write(&hgolden, &hrendered) {
-            eprintln!("model-check: cannot write {}: {e}", hgolden.display());
-            return 1;
-        }
-        println!("blessed {}", hgolden.display());
-    } else {
-        match std::fs::read_to_string(&hgolden) {
-            Ok(committed) if committed == hrendered => {
-                println!("golden {} ok", hgolden.display());
-            }
-            Ok(_) => {
-                println!(
-                    "golden {} DIFFERS from the computed reachable set; \
-                     inspect with `harness model-check --bless` + git diff",
-                    hgolden.display()
-                );
-                failed = true;
-            }
-            Err(e) => {
-                println!("golden {} unreadable ({e}); run --bless", hgolden.display());
-                failed = true;
-            }
-        }
+    match bless_or_diff("model-check", "reachable set", &hgolden, &hrendered, bless) {
+        Ok(ok) => failed |= !ok,
+        Err(code) => return code,
     }
 
     // Self-test: a finish_offline that skips the drained-and-idle guard
     // must be caught as Offline-with-residency, or the checker is dead
     // weight.
     let mut buggy = health_transitions();
-    buggy.push(tier_health::HealthTransition {
+    buggy.push(Transition {
         name: "buggy_finish_offline_without_drain",
         apply: |s| {
             if tier_health::health_of(s) == tier_health::EVACUATING
@@ -305,34 +310,15 @@ pub fn run_race_check(mut args: Vec<String>) -> i32 {
     }
 
     let rendered = render_race_report(&report);
-    let golden = race_golden_path();
-    if bless {
-        if let Some(dir) = golden.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(&golden, &rendered) {
-            eprintln!("race-check: cannot write {}: {e}", golden.display());
-            return 1;
-        }
-        println!("blessed {}", golden.display());
-    } else {
-        match std::fs::read_to_string(&golden) {
-            Ok(committed) if committed == rendered => {
-                println!("golden {} ok", golden.display());
-            }
-            Ok(_) => {
-                println!(
-                    "golden {} DIFFERS from the computed exploration; \
-                     inspect with `harness race-check --bless` + git diff",
-                    golden.display()
-                );
-                failed = true;
-            }
-            Err(e) => {
-                println!("golden {} unreadable ({e}); run --bless", golden.display());
-                failed = true;
-            }
-        }
+    match bless_or_diff(
+        "race-check",
+        "exploration",
+        &race_golden_path(),
+        &rendered,
+        bless,
+    ) {
+        Ok(ok) => failed |= !ok,
+        Err(code) => return code,
     }
 
     // Self-test: the injected order-dependent grant rule must be caught.

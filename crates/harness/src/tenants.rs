@@ -14,13 +14,13 @@
 //! invocations with different `--threads` can be diffed by eye: same seed ⇒
 //! same digest, regardless of thread count.
 
-use crate::runner::Topology;
+use crate::runner::{PolicyKind, Scale, Topology};
 use sim_clock::{DetRng, Nanos};
 use tiered_mem::{PageSize, PartitionPlan, TierId, TieredSystem};
 use tiering_policies::{
     AdmissionConfig, DriverConfig, ShardedConfig, ShardedRunResult, ShardedSim, TenantShard,
 };
-use tiering_verify::{tenant_weights, PolicyUnderTest, ALL_POLICIES};
+use tiering_verify::tenant_weights;
 use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
 /// Stream id per-tenant workload seeds are split on (xored with tenant id).
@@ -45,8 +45,8 @@ pub struct FleetConfig {
     pub tenants: usize,
     /// Worker threads stepping shards between barriers.
     pub threads: usize,
-    /// Policy every tenant runs.
-    pub policy: PolicyUnderTest,
+    /// Policy every tenant runs, built at the fuzz scale.
+    pub policy: PolicyKind,
     /// Simulated horizon in milliseconds.
     pub millis: u64,
     /// Run seed (weights, per-tenant workload streams).
@@ -63,7 +63,7 @@ impl Default for FleetConfig {
         FleetConfig {
             tenants: 1000,
             threads: 4,
-            policy: PolicyUnderTest::ChronoDcsc,
+            policy: PolicyKind::Chrono,
             millis: 10,
             seed: 0xF1EE_7001,
             slots: None,
@@ -82,7 +82,10 @@ pub fn build_fleet(cfg: &FleetConfig) -> Vec<TenantShard> {
     let totals: Vec<u32> = per_tenant.iter().map(|&t| t * cfg.tenants as u32).collect();
     let plan = PartitionPlan::split_weighted_tiers(&totals, &weights);
     let tiers = cfg.topology.num_tiers();
-    let scan_period = Nanos::from_millis(5);
+    let scale = Scale {
+        topology: cfg.topology,
+        ..Scale::fuzz_scale()
+    };
     let driver = DriverConfig {
         run_for: Nanos::from_millis(cfg.millis),
         ..Default::default()
@@ -106,7 +109,7 @@ pub fn build_fleet(cfg: &FleetConfig) -> Vec<TenantShard> {
                 weights[i],
                 sys,
                 vec![Box::new(w) as Box<dyn Workload>],
-                cfg.policy.build_boxed_tiers(scan_period, 512, tiers),
+                cfg.policy.build(&scale),
                 driver.clone(),
             )
         })
@@ -164,10 +167,10 @@ pub fn run_tenants(mut args: Vec<String>) -> i32 {
         cfg.slots = Some(parse_u64("--slots", v).max(1) as usize);
     }
     if let Some(v) = take("--policy") {
-        let Some(p) = ALL_POLICIES.into_iter().find(|p| p.name() == v) else {
+        let Some(p) = PolicyKind::FUZZED.into_iter().find(|p| p.id() == v) else {
             eprintln!(
                 "unknown policy '{v}'; one of: {}",
-                ALL_POLICIES.map(|p| p.name()).join(", ")
+                PolicyKind::FUZZED.map(|p| p.id()).join(", ")
             );
             return 2;
         };
@@ -189,7 +192,7 @@ pub fn run_tenants(mut args: Vec<String>) -> i32 {
         "fleet: {} tenants x {} ms of {} on {} threads (seed {:#x}, {} slots, {})",
         cfg.tenants,
         cfg.millis,
-        cfg.policy.name(),
+        cfg.policy.id(),
         cfg.threads,
         cfg.seed,
         cfg.slots.unwrap_or(2 * cfg.tenants),

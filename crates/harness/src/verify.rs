@@ -39,7 +39,7 @@
 use tiering_verify::ops::{generate_ops, CaseConfig, FuzzOp};
 use tiering_verify::{
     bless_goldens, check_goldens, determinism_digests, fuzz_one, fuzz_one_fault_storm,
-    fuzz_one_stress, fuzz_one_three_tier, metamorphic, GoldenStatus, ALL_POLICIES,
+    fuzz_one_stress, fuzz_one_three_tier, metamorphic, GoldenStatus, PolicyKind,
 };
 
 /// Parses `--flag N` out of `args`; returns the default when absent.
@@ -80,14 +80,14 @@ pub fn run_verify(mut args: Vec<String>) -> i32 {
     // 1. Differential determinism: same seed, same policy ⇒ same digest.
     const DET_SEED: u64 = 0x00D1_7E57;
     const DET_MILLIS: u64 = 15;
-    for p in ALL_POLICIES {
+    for p in PolicyKind::FUZZED {
         let (a, b) = determinism_digests(p, DET_SEED, DET_MILLIS);
         if a == b {
-            println!("determinism {:<16} ok ({a:016x})", p.name());
+            println!("determinism {:<16} ok ({a:016x})", p.id());
         } else {
             println!(
                 "determinism {:<16} FAILED: {a:016x} != {b:016x} on seed {DET_SEED:#x}",
-                p.name()
+                p.id()
             );
             failed = true;
         }

@@ -56,8 +56,8 @@ pub use lint::{
     RESTRICTED_CRATES, RESTRICTED_FILES, RULES,
 };
 pub use model::{
-    check_model, flag_word_reachable, legality_rules, render_report, transitions, LegalityRule,
-    ModelReport, Transition, QUEUED,
+    check_model, explore, flag_word_reachable, legality_rules, render_report, transitions,
+    LegalityRule, ModelReport, Transition, QUEUED,
 };
 pub use race::{
     canonical_grants, check_races, race_configs, render_race_report, GrantRule, RaceClaim,
@@ -65,7 +65,7 @@ pub use race::{
 };
 pub use tier_health::{
     check_health_model, describe_health_state, health_legality_rules, health_transitions,
-    render_health_report, HealthLegalityRule, HealthReport, HealthTransition,
+    render_health_report,
 };
 
 /// The workspace root, resolved from this crate's manifest directory

@@ -90,8 +90,9 @@ fn in_fast(s: u32) -> bool {
 /// stamps `TieredSystem::access` leaves on the faulted base offset.
 const TAIL_MASK: u32 = TL | TH | A | D;
 
-/// One named transition of the page lifecycle: `apply` returns every
-/// successor state (empty when the guard rejects the state).
+/// One named transition of a lifecycle model (this page model or the
+/// tier-health model): `apply` returns every successor state (empty when
+/// the guard rejects the state).
 pub struct Transition {
     /// Name used in reports and the self-test.
     pub name: &'static str,
@@ -402,7 +403,8 @@ pub fn transitions() -> Vec<Transition> {
 }
 
 /// A legality predicate over model states: `illegal` returns true for
-/// states that must be unreachable.
+/// states that must be unreachable. The page model's rules read flag bits
+/// only, never [`QUEUED`].
 pub struct LegalityRule {
     /// Stable name used in reports.
     pub name: &'static str,
@@ -483,7 +485,7 @@ pub fn legality_rules() -> Vec<LegalityRule> {
 
 /// Result of one exhaustive enumeration.
 pub struct ModelReport {
-    /// Every reachable state word (flag bits plus [`QUEUED`]), sorted.
+    /// Every reachable state word, sorted.
     pub reachable: Vec<u32>,
     /// Reachable states violating a legality rule, with the rule name.
     pub illegal: Vec<(u32, &'static str)>,
@@ -492,18 +494,19 @@ pub struct ModelReport {
     pub dead_transitions: Vec<&'static str>,
 }
 
-/// Enumerates the exact reachable set from the zero state (a fresh
-/// `PageEntry::default()` word) under `ts`, then applies `rules`.
-pub fn check_model(ts: &[Transition], rules: &[LegalityRule]) -> ModelReport {
-    let mut seen = vec![false; STATE_SPACE];
+/// Enumerates the exact reachable set of a model whose states are the
+/// words below `space`, from `start` under `ts`, then applies `rules` to
+/// every reachable state.
+pub fn explore(start: u32, space: usize, ts: &[Transition], rules: &[LegalityRule]) -> ModelReport {
+    let mut seen = vec![false; space];
     let mut fired = vec![false; ts.len()];
-    let mut frontier = vec![0u32];
-    seen[0] = true;
+    let mut frontier = vec![start];
+    seen[start as usize] = true;
     while let Some(s) = frontier.pop() {
         for (i, t) in ts.iter().enumerate() {
             for succ in (t.apply)(s) {
                 debug_assert!(
-                    (succ as usize) < STATE_SPACE,
+                    (succ as usize) < space,
                     "{} produced out-of-space state {succ:#x}",
                     t.name
                 );
@@ -515,14 +518,11 @@ pub fn check_model(ts: &[Transition], rules: &[LegalityRule]) -> ModelReport {
             }
         }
     }
-    let reachable: Vec<u32> = (0..STATE_SPACE)
-        .filter(|&s| seen[s])
-        .map(|s| s as u32)
-        .collect();
+    let reachable: Vec<u32> = (0..space).filter(|&s| seen[s]).map(|s| s as u32).collect();
     let mut illegal = Vec::new();
     for &s in &reachable {
         for r in rules {
-            if (r.illegal)(s & MASK) {
+            if (r.illegal)(s) {
                 illegal.push((s, r.name));
             }
         }
@@ -538,6 +538,13 @@ pub fn check_model(ts: &[Transition], rules: &[LegalityRule]) -> ModelReport {
         illegal,
         dead_transitions,
     }
+}
+
+/// Enumerates the page lifecycle from the zero state (a fresh
+/// `PageEntry::default()` word) under `ts`, then applies `rules`. States
+/// are flag bits plus [`QUEUED`].
+pub fn check_model(ts: &[Transition], rules: &[LegalityRule]) -> ModelReport {
+    explore(0, STATE_SPACE, ts, rules)
 }
 
 /// Words in the flag-word reachability bitmap (one bit per possible word).

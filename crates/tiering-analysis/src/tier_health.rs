@@ -23,6 +23,8 @@
 //! `Offline`-with-residency transition self-test proves the checker can
 //! actually fail.
 
+use crate::model::{explore, LegalityRule, ModelReport, Transition};
+
 /// Health-state codes, mirrored from [`TierHealth::code`] (a unit test
 /// holds the two in sync).
 ///
@@ -73,23 +75,14 @@ fn accepts_pages(s: u32) -> bool {
     matches!(health_of(s), ONLINE | DEGRADING)
 }
 
-/// One named transition of the tier failure-domain lifecycle: `apply`
-/// returns every successor state (empty when the guard rejects).
-pub struct HealthTransition {
-    /// Name used in reports and the self-test.
-    pub name: &'static str,
-    /// The pure transition function.
-    pub apply: fn(u32) -> Vec<u32>,
-}
-
 /// The full transition relation. Each entry cites the `TieredSystem` code
 /// it abstracts; guards and effects must be kept in sync with those sites
 /// (the committed golden fails loudly when they drift).
-pub fn health_transitions() -> Vec<HealthTransition> {
+pub fn health_transitions() -> Vec<Transition> {
     vec![
         // demand_map / begin_migrate_txn admission: only a tier whose
         // health accepts_pages() ever gains residency.
-        HealthTransition {
+        Transition {
             name: "admit_page",
             apply: |s| {
                 if accepts_pages(s) && residency_of(s) < MAX_RESIDENCY {
@@ -105,7 +98,7 @@ pub fn health_transitions() -> Vec<HealthTransition> {
         // pins its source page: every unmap path (swap_out, split) aborts
         // the in-flight transaction first, which in the model is
         // evac_fault followed by this.
-        HealthTransition {
+        Transition {
             name: "page_leave",
             apply: |s| {
                 if health_of(s) <= EVACUATING && residency_of(s) > u32::from(inflight_of(s)) {
@@ -117,7 +110,7 @@ pub fn health_transitions() -> Vec<HealthTransition> {
         },
         // apply_tier_event(Degrade): Online → Degrading. A Degrade event
         // on an already-Degrading tier just extends the window.
-        HealthTransition {
+        Transition {
             name: "degrade_event",
             apply: |s| {
                 if matches!(health_of(s), ONLINE | DEGRADING) {
@@ -128,7 +121,7 @@ pub fn health_transitions() -> Vec<HealthTransition> {
             },
         },
         // The degrade window lapsing on the clock: Degrading → Online.
-        HealthTransition {
+        Transition {
             name: "degrade_expire",
             apply: |s| {
                 if health_of(s) == DEGRADING {
@@ -141,7 +134,7 @@ pub fn health_transitions() -> Vec<HealthTransition> {
         // apply_tier_event(Offline { deadline }): a live chain member
         // enters Evacuating; copies INTO the tier are aborted first, so
         // no new residency arrives from here on.
-        HealthTransition {
+        Transition {
             name: "offline_event",
             apply: |s| {
                 if accepts_pages(s) {
@@ -153,7 +146,7 @@ pub fn health_transitions() -> Vec<HealthTransition> {
         },
         // pump_evacuation: the emergency lane opens an evacuation copy
         // off the tier (bounded by edge bandwidth and admission).
-        HealthTransition {
+        Transition {
             name: "evac_issue",
             apply: |s| {
                 if health_of(s) == EVACUATING && residency_of(s) > 0 && !inflight_of(s) {
@@ -167,7 +160,7 @@ pub fn health_transitions() -> Vec<HealthTransition> {
         // (or spilled to swap) and leaves the tier. An Online event can
         // cancel the drain while the copy is in flight, so completion is
         // legal in any chain-member health, not just Evacuating.
-        HealthTransition {
+        Transition {
             name: "evac_complete",
             apply: |s| {
                 if health_of(s) <= EVACUATING && inflight_of(s) && residency_of(s) > 0 {
@@ -181,7 +174,7 @@ pub fn health_transitions() -> Vec<HealthTransition> {
         // swap-out of the source, or device fault): the copy retires into
         // evac_faulted_pages and the page stays put — the next pump
         // re-issues it fresh.
-        HealthTransition {
+        Transition {
             name: "evac_fault",
             apply: |s| {
                 if health_of(s) <= EVACUATING && inflight_of(s) {
@@ -194,7 +187,7 @@ pub fn health_transitions() -> Vec<HealthTransition> {
         // The deadline passing: pump_evacuation switches to the forced
         // synchronous drain — open copies aborted, every remaining page
         // rehomed or swapped in one pass.
-        HealthTransition {
+        Transition {
             name: "forced_drain",
             apply: |s| {
                 if health_of(s) == EVACUATING {
@@ -207,7 +200,7 @@ pub fn health_transitions() -> Vec<HealthTransition> {
         // finish_offline: only a fully drained tier (no residency, no
         // open evacuation) goes Offline; its frames are offlined and the
         // chain spliced around it.
-        HealthTransition {
+        Transition {
             name: "finish_offline",
             apply: |s| {
                 if health_of(s) == EVACUATING && residency_of(s) == 0 && !inflight_of(s) {
@@ -220,7 +213,7 @@ pub fn health_transitions() -> Vec<HealthTransition> {
         // apply_tier_event(Online) mid-evacuation: the drain is called
         // off and the tier resumes as a full member, pages still on it.
         // Open evacuation copies are not aborted — they retire normally.
-        HealthTransition {
+        Transition {
             name: "online_event_cancels_drain",
             apply: |s| {
                 if health_of(s) == EVACUATING {
@@ -232,7 +225,7 @@ pub fn health_transitions() -> Vec<HealthTransition> {
         },
         // apply_tier_event(Online) on an Offline tier: the device is
         // back; frames restore but the splice holds until re-admission.
-        HealthTransition {
+        Transition {
             name: "online_event_rejoins",
             apply: |s| {
                 if health_of(s) == OFFLINE {
@@ -244,7 +237,7 @@ pub fn health_transitions() -> Vec<HealthTransition> {
         },
         // The next migration-completion pass re-splices the chain and
         // re-admits the tier: Rejoining → Online, still empty.
-        HealthTransition {
+        Transition {
             name: "readmit",
             apply: |s| {
                 if health_of(s) == REJOINING {
@@ -257,48 +250,29 @@ pub fn health_transitions() -> Vec<HealthTransition> {
     ]
 }
 
-/// A legality predicate over packed tier states: `illegal` returns true
-/// for states that must be unreachable.
-pub struct HealthLegalityRule {
-    /// Stable name used in reports.
-    pub name: &'static str,
-    /// The predicate (true ⇒ the state is illegal).
-    pub illegal: fn(u32) -> bool,
-}
-
 /// The declared legal-state rules for the tier lifecycle.
-pub fn health_legality_rules() -> Vec<HealthLegalityRule> {
+pub fn health_legality_rules() -> Vec<LegalityRule> {
     vec![
         // The headline invariant: an Offline tier holds nothing — no
         // resident pages and no open evacuation copy. The runtime twin is
         // the oracle's `tier_offline_residency` check.
-        HealthLegalityRule {
+        LegalityRule {
             name: "offline_holds_nothing",
             illegal: |s| health_of(s) == OFFLINE && (residency_of(s) > 0 || inflight_of(s)),
         },
         // A Rejoining tier came back from Offline and has not been
         // re-admitted: it must still be empty.
-        HealthLegalityRule {
+        LegalityRule {
             name: "rejoining_is_empty",
             illegal: |s| health_of(s) == REJOINING && (residency_of(s) > 0 || inflight_of(s)),
         },
         // An open evacuation copy has a source page still on the tier —
         // every unmap path aborts the transaction before taking the page.
-        HealthLegalityRule {
+        LegalityRule {
             name: "evac_txn_requires_residency",
             illegal: |s| inflight_of(s) && residency_of(s) == 0,
         },
     ]
-}
-
-/// Result of one exhaustive tier-lifecycle enumeration.
-pub struct HealthReport {
-    /// Every reachable packed state, sorted.
-    pub reachable: Vec<u32>,
-    /// Reachable states violating a legality rule, with the rule name.
-    pub illegal: Vec<(u32, &'static str)>,
-    /// Transitions that never fired from any reachable state.
-    pub dead_transitions: Vec<&'static str>,
 }
 
 /// Human label for a packed state's health code.
@@ -324,56 +298,13 @@ pub fn describe_health_state(s: u32) -> String {
 
 /// Enumerates the exact reachable set from the fresh state (`Online`,
 /// empty, no evacuation in flight) under `ts`, then applies `rules`.
-pub fn check_health_model(ts: &[HealthTransition], rules: &[HealthLegalityRule]) -> HealthReport {
-    let start = pack(ONLINE, 0, false);
-    let mut seen = [false; HEALTH_STATE_SPACE];
-    let mut fired = vec![false; ts.len()];
-    let mut frontier = vec![start];
-    seen[start as usize] = true;
-    while let Some(s) = frontier.pop() {
-        for (i, t) in ts.iter().enumerate() {
-            for succ in (t.apply)(s) {
-                debug_assert!(
-                    (succ as usize) < HEALTH_STATE_SPACE,
-                    "{} produced out-of-space state {succ:#x}",
-                    t.name
-                );
-                fired[i] = true;
-                if !seen[succ as usize] {
-                    seen[succ as usize] = true;
-                    frontier.push(succ);
-                }
-            }
-        }
-    }
-    let reachable: Vec<u32> = (0..HEALTH_STATE_SPACE)
-        .filter(|&s| seen[s])
-        .map(|s| s as u32)
-        .collect();
-    let mut illegal = Vec::new();
-    for &s in &reachable {
-        for r in rules {
-            if (r.illegal)(s) {
-                illegal.push((s, r.name));
-            }
-        }
-    }
-    let dead_transitions = ts
-        .iter()
-        .zip(&fired)
-        .filter(|(_, &f)| !f)
-        .map(|(t, _)| t.name)
-        .collect();
-    HealthReport {
-        reachable,
-        illegal,
-        dead_transitions,
-    }
+pub fn check_health_model(ts: &[Transition], rules: &[LegalityRule]) -> ModelReport {
+    explore(pack(ONLINE, 0, false), HEALTH_STATE_SPACE, ts, rules)
 }
 
 /// Renders a report in the committed-golden format: a header, then one
 /// line per reachable state (`hex  description`).
-pub fn render_health_report(report: &HealthReport) -> String {
+pub fn render_health_report(report: &ModelReport) -> String {
     let mut out = String::new();
     out.push_str(
         "# Tier failure-domain lifecycle reachability (regenerate: harness model-check --bless)\n",
@@ -477,7 +408,7 @@ mod tests {
         // exists to catch) and assert the violation is reported against
         // the right rule.
         let mut ts = health_transitions();
-        ts.push(HealthTransition {
+        ts.push(Transition {
             name: "buggy_finish_offline_without_drain",
             apply: |s| {
                 if health_of(s) == EVACUATING && residency_of(s) > 0 {

@@ -61,12 +61,8 @@ pub struct MultiClock {
 }
 
 impl MultiClock {
-    /// Creates the classic two-tier policy.
-    pub fn new(cfg: MultiClockConfig) -> MultiClock {
-        MultiClock::for_tiers(cfg, 2)
-    }
-
-    /// Creates the policy over `tiers` managed tiers.
+    /// Creates the policy over `tiers` managed tiers (2 = the classic
+    /// two-tier policy).
     pub fn for_tiers(cfg: MultiClockConfig, tiers: usize) -> MultiClock {
         assert!(
             (2..=tiered_mem::MAX_TIERS).contains(&tiers),
@@ -212,13 +208,16 @@ mod tests {
         let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(4096, 0.7, 1));
         sys.add_process(w.address_space_pages(), PageSize::Base);
         let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
-        let mut policy = MultiClock::new(MultiClockConfig {
-            sweep_period: Nanos::from_millis(40),
-            sweep_step_pages: 512,
-            levels: 4,
-            promote_level: 3,
-            demote_interval: Nanos::from_millis(20),
-        });
+        let mut policy = MultiClock::for_tiers(
+            MultiClockConfig {
+                sweep_period: Nanos::from_millis(40),
+                sweep_step_pages: 512,
+                levels: 4,
+                promote_level: 3,
+                demote_interval: Nanos::from_millis(20),
+            },
+            2,
+        );
         SimulationDriver::new(DriverConfig {
             run_for: Nanos::from_millis(run_ms),
             ..Default::default()

@@ -56,12 +56,8 @@ pub struct Tpp {
 }
 
 impl Tpp {
-    /// Creates the classic two-tier policy.
-    pub fn new(cfg: TppConfig) -> Tpp {
-        Tpp::for_tiers(cfg, 2)
-    }
-
-    /// Creates the policy over `tiers` managed tiers.
+    /// Creates the policy over `tiers` managed tiers (2 = the classic
+    /// two-tier policy).
     pub fn for_tiers(cfg: TppConfig, tiers: usize) -> Tpp {
         assert!(
             (2..=tiered_mem::MAX_TIERS).contains(&tiers),
@@ -194,11 +190,14 @@ mod tests {
         let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(4096, 0.7, 1));
         sys.add_process(w.address_space_pages(), PageSize::Base);
         let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
-        let mut policy = Tpp::new(TppConfig {
-            scan_period: Nanos::from_millis(40),
-            scan_step_pages: 512,
-            demote_interval: Nanos::from_millis(20),
-        });
+        let mut policy = Tpp::for_tiers(
+            TppConfig {
+                scan_period: Nanos::from_millis(40),
+                scan_step_pages: 512,
+                demote_interval: Nanos::from_millis(20),
+            },
+            2,
+        );
         SimulationDriver::new(DriverConfig {
             run_for: Nanos::from_millis(run_ms),
             ..Default::default()
@@ -217,11 +216,14 @@ mod tests {
         let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(pages, 0.95, 1010));
         sys.add_process(w.address_space_pages(), PageSize::Base);
         let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
-        let mut policy = Tpp::new(TppConfig {
-            scan_period: Nanos::from_millis(40),
-            scan_step_pages: 512,
-            demote_interval: Nanos::from_millis(10),
-        });
+        let mut policy = Tpp::for_tiers(
+            TppConfig {
+                scan_period: Nanos::from_millis(40),
+                scan_step_pages: 512,
+                demote_interval: Nanos::from_millis(10),
+            },
+            2,
+        );
         SimulationDriver::new(DriverConfig {
             run_for: Nanos::from_millis(300),
             ..Default::default()

@@ -1,7 +1,8 @@
 //! Golden-trace snapshots for canonical seeds.
 //!
 //! A golden is a text file recording, for one canonical seed, the trace
-//! digest and access count of every policy in [`ALL_POLICIES`]. `harness
+//! digest and access count of every policy it covers, one table per
+//! `GoldenSet` in `GOLDEN_SETS`. `harness
 //! verify` recomputes the table and diffs it against the checked-in file; a
 //! mismatch means either a real behaviour change (re-bless deliberately with
 //! `harness verify --bless`) or a lost determinism guarantee (investigate).
@@ -17,10 +18,8 @@ use std::path::{Path, PathBuf};
 use sim_clock::Nanos;
 use tiered_mem::FaultPlan;
 
-use crate::policy_fuzz::{
-    run_policy_case, run_policy_case_with_plan, run_three_tier_case, PolicyUnderTest, ALL_POLICIES,
-    THREE_TIER_POLICIES,
-};
+use crate::policy_fuzz::{run_policy_case, run_policy_case_with_plan, CHAIN_POLICIES};
+use crate::registry::{PolicyKind, Topology};
 use crate::sharded::{run_sharded_case, run_sharded_tier_chaos_case, SHARD_GOLDEN_TENANTS};
 
 /// The two canonical seeds snapshotted in the repository.
@@ -38,97 +37,115 @@ pub const SHARD_GOLDEN_MILLIS: u64 = 10;
 /// and the fault plan's RNG derive from it).
 pub const FAULT_GOLDEN_SEED: u64 = 0xFA_0001;
 
+/// One family of committed snapshots: `<prefix>_<seed>.txt` per seed, each
+/// holding the table `compute` renders for that seed.
+struct GoldenSet {
+    /// File-name prefix.
+    prefix: &'static str,
+    /// The seeds snapshotted.
+    seeds: &'static [u64],
+    /// Recomputes one seed's table.
+    compute: fn(u64) -> String,
+}
+
+/// Every committed snapshot family, in the order `harness verify` checks
+/// them.
+const GOLDEN_SETS: [GoldenSet; 5] = [
+    GoldenSet {
+        prefix: "seed",
+        seeds: &GOLDEN_SEEDS,
+        compute: classic_table,
+    },
+    GoldenSet {
+        prefix: "fault_seed",
+        seeds: &[FAULT_GOLDEN_SEED],
+        compute: fault_table,
+    },
+    GoldenSet {
+        prefix: "shard_seed",
+        seeds: &GOLDEN_SEEDS,
+        compute: shard_table,
+    },
+    GoldenSet {
+        prefix: "threetier_seed",
+        seeds: &GOLDEN_SEEDS,
+        compute: three_tier_table,
+    },
+    GoldenSet {
+        prefix: "tierchaos_seed",
+        seeds: &GOLDEN_SEEDS,
+        compute: tier_chaos_table,
+    },
+];
+
 /// Directory holding the checked-in snapshots.
 pub fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens")
 }
 
-/// Path of the snapshot for one seed.
-pub fn golden_path(seed: u64) -> PathBuf {
-    golden_dir().join(format!("seed_{seed:08x}.txt"))
+/// Path of the snapshot `prefix` takes for `seed`.
+pub fn golden_path(prefix: &str, seed: u64) -> PathBuf {
+    golden_dir().join(format!("{prefix}_{seed:08x}.txt"))
 }
 
-/// Path of the faulty-run snapshot.
-pub fn fault_golden_path() -> PathBuf {
-    golden_dir().join(format!("fault_seed_{FAULT_GOLDEN_SEED:08x}.txt"))
+/// One `<policy> <digest-hex> <accesses>` row.
+fn row(policy: &str, digest: u64, accesses: u64) -> String {
+    format!("{policy:<16} {digest:016x} {accesses}")
 }
 
-/// Path of the multi-tenant shard snapshot for one seed.
-pub fn shard_golden_path(seed: u64) -> PathBuf {
-    golden_dir().join(format!("shard_seed_{seed:08x}.txt"))
-}
-
-/// Path of the three-tier snapshot for one seed.
-pub fn three_tier_golden_path(seed: u64) -> PathBuf {
-    golden_dir().join(format!("threetier_seed_{seed:08x}.txt"))
-}
-
-/// Path of the tier-chaos shard snapshot for one seed (multi-tenant run
-/// with a mid-run `TierOffline`/rejoin arc applied at barriers).
-pub fn tier_chaos_golden_path(seed: u64) -> PathBuf {
-    golden_dir().join(format!("tierchaos_seed_{seed:08x}.txt"))
-}
-
-/// Recomputes the snapshot table for a seed: one `<policy> <digest-hex>
-/// <accesses>` line per policy, in [`ALL_POLICIES`] order.
-pub fn compute_golden(seed: u64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# tiering-verify golden: seed {seed:#010x}, {GOLDEN_MILLIS} ms per policy\n"
-    ));
-    for p in ALL_POLICIES {
+/// The classic table for a seed: one row per policy in
+/// [`PolicyKind::FUZZED`] order.
+fn classic_table(seed: u64) -> String {
+    let mut out =
+        format!("# tiering-verify golden: seed {seed:#010x}, {GOLDEN_MILLIS} ms per policy\n");
+    for p in PolicyKind::FUZZED {
         let r = run_policy_case(p, seed, GOLDEN_MILLIS);
-        out.push_str(&format!(
-            "{:<16} {:016x} {}\n",
-            r.policy, r.digest, r.accesses
-        ));
+        out.push_str(&row(&r.policy, r.digest, r.accesses));
+        out.push('\n');
     }
     out
 }
 
-/// Recomputes the faulty-run snapshot: every Chrono tuning mode under the
-/// canonical fault plan, one `<policy> <digest-hex> <accesses>` line each.
-/// Same seed ⇒ byte-identical table — faulty runs are exactly as replayable
-/// as clean ones.
-pub fn compute_fault_golden() -> String {
-    let plan = FaultPlan::canonical(FAULT_GOLDEN_SEED, Nanos::from_millis(GOLDEN_MILLIS));
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# tiering-verify faulty golden: seed {FAULT_GOLDEN_SEED:#010x}, canonical fault plan, \
+/// The faulty-run table: every Chrono tuning mode under the canonical
+/// fault plan. Same seed ⇒ byte-identical table — faulty runs are exactly
+/// as replayable as clean ones.
+fn fault_table(seed: u64) -> String {
+    let plan = FaultPlan::canonical(seed, Nanos::from_millis(GOLDEN_MILLIS));
+    let mut out = format!(
+        "# tiering-verify faulty golden: seed {seed:#010x}, canonical fault plan, \
          {GOLDEN_MILLIS} ms per tuning mode\n"
-    ));
-    for p in ALL_POLICIES.into_iter().filter(|p| p.is_chrono()) {
-        let r = run_policy_case_with_plan(p, FAULT_GOLDEN_SEED, GOLDEN_MILLIS, Some(plan.clone()));
-        out.push_str(&format!(
-            "{:<16} {:016x} {}\n",
-            r.policy, r.digest, r.accesses
-        ));
+    );
+    for p in PolicyKind::FUZZED.into_iter().filter(|p| p.is_chrono()) {
+        let r = run_policy_case_with_plan(
+            p,
+            Topology::DramPmem,
+            seed,
+            GOLDEN_MILLIS,
+            Some(plan.clone()),
+        );
+        out.push_str(&row(&r.policy, r.digest, r.accesses));
+        out.push('\n');
     }
     out
 }
 
-/// Recomputes the multi-tenant shard snapshot for a seed: every policy run
-/// over [`SHARD_GOLDEN_TENANTS`] weighted shards with the admission hook on,
+/// The multi-tenant shard table: every policy run over
+/// [`SHARD_GOLDEN_TENANTS`] weighted shards with the admission hook on,
 /// single-threaded (the thread-invariance suite proves 2- and 8-thread runs
-/// reproduce the same table). One line per policy: `<policy> <combined>
-/// <accesses> <per-tenant digests...>`.
-pub fn compute_shard_golden(seed: u64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
+/// reproduce the same table). Rows append the per-tenant digests.
+fn shard_table(seed: u64) -> String {
+    let mut out = format!(
         "# tiering-verify shard golden: seed {seed:#010x}, {SHARD_GOLDEN_TENANTS} tenants, \
          admission on, {SHARD_GOLDEN_MILLIS} ms per policy\n"
-    ));
-    for p in ALL_POLICIES {
+    );
+    for p in PolicyKind::FUZZED {
         let r = run_sharded_case(p, seed, SHARD_GOLDEN_MILLIS, SHARD_GOLDEN_TENANTS, 1, true);
         assert!(
             r.clean(),
             "shard golden case {p:?}/{seed:#x} broke invariants: {:?}",
             r.violations
         );
-        out.push_str(&format!(
-            "{:<16} {:016x} {}",
-            r.policy, r.combined_digest, r.accesses
-        ));
+        out.push_str(&row(r.policy, r.combined_digest, r.accesses));
         for d in &r.tenant_digests {
             out.push_str(&format!(" {d:016x}"));
         }
@@ -137,56 +154,45 @@ pub fn compute_shard_golden(seed: u64) -> String {
     out
 }
 
-/// Recomputes the three-tier snapshot for a seed: cascaded Chrono-DCSC and
-/// TPP-3 on the DRAM+CXL+PMem chain, one `<policy> <digest-hex> <accesses>`
-/// line each. Runs are invariant-checked while they execute, so a golden
-/// that drifts because the oracle now rejects the run fails loudly here
-/// instead of silently re-blessing.
-pub fn compute_three_tier_golden(seed: u64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
+/// The three-tier table: cascaded Chrono-DCSC and TPP-3 on the
+/// DRAM+CXL+PMem chain. Runs are invariant-checked while they execute, so a
+/// golden that drifts because the oracle now rejects the run fails loudly
+/// here instead of silently re-blessing.
+fn three_tier_table(seed: u64) -> String {
+    let mut out = format!(
         "# tiering-verify three-tier golden: seed {seed:#010x}, DRAM+CXL+PMem, \
          {GOLDEN_MILLIS} ms per policy\n"
-    ));
-    for p in THREE_TIER_POLICIES {
-        let r = run_three_tier_case(p, seed, GOLDEN_MILLIS);
+    );
+    for p in CHAIN_POLICIES {
+        let r = run_policy_case_with_plan(p, Topology::ThreeTier, seed, GOLDEN_MILLIS, None);
         assert!(
             r.clean(),
             "three-tier golden case {p:?}/{seed:#x} broke invariants: {:?}",
             r.violations
         );
-        out.push_str(&format!(
-            "{:<16} {:016x} {}\n",
-            r.policy, r.digest, r.accesses
-        ));
+        out.push_str(&row(&r.policy, r.digest, r.accesses));
+        out.push('\n');
     }
     out
 }
 
-/// Policies snapshotted in the tier-chaos shard golden: the three Chrono
-/// tuning modes plus a representative baseline.
-const TIER_CHAOS_POLICIES: [PolicyUnderTest; 4] = [
-    PolicyUnderTest::Tpp,
-    PolicyUnderTest::ChronoDcsc,
-    PolicyUnderTest::ChronoSemiAuto,
-    PolicyUnderTest::ChronoManual,
-];
-
-/// Recomputes the tier-chaos shard snapshot for a seed: the multi-tenant
-/// case with every tenant's slow tier going offline mid-run (live
-/// evacuation window) and rejoining, single-threaded — the thread-invariance
-/// suite proves 2- and 8-worker replays reproduce the same table. One line
-/// per policy: `<policy> <combined> <accesses> <per-tenant digests...>`.
-/// The arc must actually fire (health transitions recorded) — a chaos
-/// golden whose tiers never fail pins nothing.
-pub fn compute_tier_chaos_golden(seed: u64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
+/// The tier-chaos shard table: the multi-tenant case with every tenant's
+/// slow tier going offline mid-run (live evacuation window) and rejoining,
+/// single-threaded, for the three Chrono tuning modes plus a representative
+/// baseline. The arc must actually fire (health transitions recorded) — a
+/// chaos golden whose tiers never fail pins nothing.
+fn tier_chaos_table(seed: u64) -> String {
+    let mut out = format!(
         "# tiering-verify tier-chaos shard golden: seed {seed:#010x}, \
          {SHARD_GOLDEN_TENANTS} tenants, slow tier offline/rejoin mid-run, \
          {SHARD_GOLDEN_MILLIS} ms per policy\n"
-    ));
-    for p in TIER_CHAOS_POLICIES {
+    );
+    for p in [
+        PolicyKind::Tpp,
+        PolicyKind::Chrono,
+        PolicyKind::ChronoTwice,
+        PolicyKind::ChronoFixed,
+    ] {
         let r = run_sharded_tier_chaos_case(p, seed, SHARD_GOLDEN_MILLIS, 1);
         assert!(
             r.clean(),
@@ -197,10 +203,7 @@ pub fn compute_tier_chaos_golden(seed: u64) -> String {
             r.tier_health_transitions > 0,
             "tier-chaos golden case {p:?}/{seed:#x} never failed a tier"
         );
-        out.push_str(&format!(
-            "{:<16} {:016x} {}",
-            r.policy, r.combined_digest, r.accesses
-        ));
+        out.push_str(&row(r.policy, r.combined_digest, r.accesses));
         for d in &r.tenant_digests {
             out.push_str(&format!(" {d:016x}"));
         }
@@ -283,69 +286,30 @@ fn diff_status(path: &Path, actual: String) -> GoldenStatus {
     }
 }
 
-/// Checks every canonical seed — clean snapshots plus the faulty-run
-/// snapshot — against its checked-in file.
+/// Checks every committed snapshot against a fresh recomputation.
 pub fn check_goldens() -> Vec<GoldenResult> {
-    let mut results: Vec<GoldenResult> = GOLDEN_SEEDS
-        .iter()
-        .map(|&seed| {
-            let path = golden_path(seed);
-            let status = diff_status(&path, compute_golden(seed));
-            GoldenResult { seed, path, status }
-        })
-        .collect();
-    let path = fault_golden_path();
-    let status = diff_status(&path, compute_fault_golden());
-    results.push(GoldenResult {
-        seed: FAULT_GOLDEN_SEED,
-        path,
-        status,
-    });
-    for &seed in &GOLDEN_SEEDS {
-        let path = shard_golden_path(seed);
-        let status = diff_status(&path, compute_shard_golden(seed));
-        results.push(GoldenResult { seed, path, status });
-    }
-    for &seed in &GOLDEN_SEEDS {
-        let path = three_tier_golden_path(seed);
-        let status = diff_status(&path, compute_three_tier_golden(seed));
-        results.push(GoldenResult { seed, path, status });
-    }
-    for &seed in &GOLDEN_SEEDS {
-        let path = tier_chaos_golden_path(seed);
-        let status = diff_status(&path, compute_tier_chaos_golden(seed));
-        results.push(GoldenResult { seed, path, status });
+    let mut results = Vec::new();
+    for set in &GOLDEN_SETS {
+        for &seed in set.seeds {
+            let path = golden_path(set.prefix, seed);
+            let status = diff_status(&path, (set.compute)(seed));
+            results.push(GoldenResult { seed, path, status });
+        }
     }
     results
 }
 
-/// Recomputes and writes every canonical snapshot (clean and faulty);
-/// returns the paths written.
+/// Recomputes and writes every committed snapshot; returns the paths
+/// written.
 pub fn bless_goldens() -> std::io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(golden_dir())?;
     let mut written = Vec::new();
-    for &seed in &GOLDEN_SEEDS {
-        let path = golden_path(seed);
-        std::fs::write(&path, compute_golden(seed))?;
-        written.push(path);
-    }
-    let path = fault_golden_path();
-    std::fs::write(&path, compute_fault_golden())?;
-    written.push(path);
-    for &seed in &GOLDEN_SEEDS {
-        let path = shard_golden_path(seed);
-        std::fs::write(&path, compute_shard_golden(seed))?;
-        written.push(path);
-    }
-    for &seed in &GOLDEN_SEEDS {
-        let path = three_tier_golden_path(seed);
-        std::fs::write(&path, compute_three_tier_golden(seed))?;
-        written.push(path);
-    }
-    for &seed in &GOLDEN_SEEDS {
-        let path = tier_chaos_golden_path(seed);
-        std::fs::write(&path, compute_tier_chaos_golden(seed))?;
-        written.push(path);
+    for set in &GOLDEN_SETS {
+        for &seed in set.seeds {
+            let path = golden_path(set.prefix, seed);
+            std::fs::write(&path, (set.compute)(seed))?;
+            written.push(path);
+        }
     }
     Ok(written)
 }
@@ -358,20 +322,34 @@ mod tests {
     fn golden_table_is_deterministic() {
         // One policy per call keeps this fast enough for the debug-mode
         // suite; full-table comparisons run in the release-mode harness.
-        let a = run_policy_case(ALL_POLICIES[0], GOLDEN_SEEDS[0], 5);
-        let b = run_policy_case(ALL_POLICIES[0], GOLDEN_SEEDS[0], 5);
+        let a = run_policy_case(PolicyKind::FUZZED[0], GOLDEN_SEEDS[0], 5);
+        let b = run_policy_case(PolicyKind::FUZZED[0], GOLDEN_SEEDS[0], 5);
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.accesses, b.accesses);
     }
 
     #[test]
     fn golden_paths_are_stable() {
-        assert!(golden_path(0xC4A0_0001)
-            .to_string_lossy()
-            .ends_with("goldens/seed_c4a00001.txt"));
-        assert!(fault_golden_path()
-            .to_string_lossy()
-            .ends_with("goldens/fault_seed_00fa0001.txt"));
+        let paths: Vec<PathBuf> = GOLDEN_SETS
+            .iter()
+            .flat_map(|set| set.seeds.iter().map(|&seed| golden_path(set.prefix, seed)))
+            .collect();
+        let names: Vec<_> = paths.iter().map(|p| p.file_name().unwrap()).collect();
+        assert_eq!(
+            names,
+            [
+                "seed_c4a00001.txt",
+                "seed_c4a00002.txt",
+                "fault_seed_00fa0001.txt",
+                "shard_seed_c4a00001.txt",
+                "shard_seed_c4a00002.txt",
+                "threetier_seed_c4a00001.txt",
+                "threetier_seed_c4a00002.txt",
+                "tierchaos_seed_c4a00001.txt",
+                "tierchaos_seed_c4a00002.txt",
+            ]
+        );
+        assert!(paths.iter().all(|p| p.parent() == Some(&golden_dir())));
     }
 
     #[test]
@@ -379,13 +357,10 @@ mod tests {
     fn bless_tier_chaos_goldens_only() {
         // Narrow bless: regenerates the tier-chaos shard snapshots without
         // touching any pre-existing golden file.
-        std::fs::create_dir_all(golden_dir()).unwrap();
-        for &seed in &GOLDEN_SEEDS {
-            std::fs::write(
-                tier_chaos_golden_path(seed),
-                compute_tier_chaos_golden(seed),
-            )
-            .unwrap();
+        let set = GOLDEN_SETS.iter().find(|s| s.prefix == "tierchaos_seed");
+        let set = set.expect("tier-chaos snapshot family");
+        for &seed in set.seeds {
+            std::fs::write(golden_path(set.prefix, seed), (set.compute)(seed)).unwrap();
         }
     }
 
@@ -393,15 +368,16 @@ mod tests {
     fn fault_golden_is_deterministic() {
         // One tuning mode, short run: byte-identical across recomputations.
         let plan = FaultPlan::canonical(FAULT_GOLDEN_SEED, Nanos::from_millis(5));
-        let one = |_: ()| {
+        let one = || {
             run_policy_case_with_plan(
-                crate::policy_fuzz::PolicyUnderTest::ChronoDcsc,
+                PolicyKind::Chrono,
+                Topology::DramPmem,
                 FAULT_GOLDEN_SEED,
                 5,
                 Some(plan.clone()),
             )
         };
-        let (a, b) = (one(()), one(()));
+        let (a, b) = (one(), one());
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.accesses, b.accesses);
     }

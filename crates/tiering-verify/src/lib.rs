@@ -1,7 +1,7 @@
 //! Deterministic differential-fuzzing and invariant-oracle layer for the
 //! tiering substrate and every policy built on it.
 //!
-//! Four pieces, layered bottom-up:
+//! Five pieces, layered bottom-up:
 //!
 //! - [`oracle`]: the [`InvariantOracle`], a pure observer that sweeps a
 //!   [`tiered_mem::TieredSystem`] and reports every broken substrate
@@ -11,6 +11,9 @@
 //! - [`ops`] + [`shrink`]: a seeded op-schedule fuzzer over the raw
 //!   substrate. Failures shrink (ddmin) to a minimal replayable sequence
 //!   printed with its seed and case shape.
+//! - [`registry`]: [`PolicyKind`], the one factory every named policy is
+//!   built through (harness figures and fleets, fuzz cases, goldens and the
+//!   benchmark), with its [`Scale`] and [`Topology`].
 //! - [`policy_fuzz`]: seeded end-to-end runs of every tiering policy with
 //!   the oracle attached to the driver's inspect hook, plus the
 //!   same-seed ⇒ same-digest determinism check.
@@ -29,6 +32,7 @@ pub mod metamorphic;
 pub mod ops;
 pub mod oracle;
 pub mod policy_fuzz;
+pub mod registry;
 pub mod sharded;
 pub mod shrink;
 
@@ -44,9 +48,9 @@ pub use ops::{
 pub use oracle::{InvariantOracle, Violation};
 pub use policy_fuzz::{
     determinism_digests, fuzz_one_tier_chaos, run_policy_case, run_policy_case_with_plan,
-    run_three_tier_case, run_three_tier_case_with_plan, PolicyRunReport, PolicyUnderTest,
-    ThreeTierPolicy, ALL_POLICIES, THREE_TIER_POLICIES,
+    PolicyRunReport, CHAIN_POLICIES,
 };
+pub use registry::{PolicyKind, Scale, Topology};
 pub use sharded::{
     fuzz_one_tenant_storm, run_sharded_case, run_sharded_case_mixed, run_sharded_case_permuted,
     run_sharded_case_with_plans, run_sharded_tier_chaos_case, shard_tier_chaos_events,

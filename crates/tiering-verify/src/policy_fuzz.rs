@@ -1,272 +1,27 @@
 //! Policy-level fuzzing: every tiering policy driven over seeded workloads
 //! with the invariant oracle attached to the driver's inspect hook, plus the
 //! differential determinism check (same seed ⇒ byte-identical trace digest).
+//! Policies come from the registry at [`Scale::fuzz_scale`], on any
+//! [`Topology`].
 
-use chrono_core::{CascadeChrono, ChronoConfig, ChronoPolicy};
 use sim_clock::Nanos;
-use tiered_mem::{FaultPlan, PageSize, SystemConfig, TieredSystem};
-use tiering_policies::{
-    autotiering::AutoTieringConfig, linux_nb::LinuxNbConfig, multiclock::MultiClockConfig,
-    tpp::TppConfig, AutoTiering, DriverConfig, FlexMem, FlexMemConfig, LinuxNumaBalancing, Memtis,
-    MemtisConfig, MultiClock, SimulationDriver, Telescope, TelescopeConfig, TieringPolicy, Tpp,
-};
+use tiered_mem::{FaultPlan, PageSize, TieredSystem};
+use tiering_policies::{DriverConfig, SimulationDriver};
 use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
 use crate::oracle::{InvariantOracle, Violation};
+use crate::registry::{PolicyKind, Scale, Topology};
 
-/// Every policy the fuzz layer exercises: the paper's baselines, the two
-/// related-work policies, and the Chrono tuning modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyUnderTest {
-    /// Linux NUMA balancing in tiering mode.
-    LinuxNb,
-    /// Auto-Tiering (LAP vectors).
-    AutoTiering,
-    /// Multi-Clock.
-    MultiClock,
-    /// TPP.
-    Tpp,
-    /// Memtis (PEBS + histogram, huge-page splitting).
-    Memtis,
-    /// FlexMem (PEBS + timeliness hint faults).
-    FlexMem,
-    /// Telescope (tree-structured region profiling).
-    Telescope,
-    /// Chrono with full DCSC tuning.
-    ChronoDcsc,
-    /// Chrono with semi-automatic tuning (fixed rate limit).
-    ChronoSemiAuto,
-    /// Chrono with a fully manual threshold and rate limit.
-    ChronoManual,
-}
-
-/// All fuzzed policies, in a stable order (reports and goldens rely on it).
-pub const ALL_POLICIES: [PolicyUnderTest; 10] = [
-    PolicyUnderTest::LinuxNb,
-    PolicyUnderTest::AutoTiering,
-    PolicyUnderTest::MultiClock,
-    PolicyUnderTest::Tpp,
-    PolicyUnderTest::Memtis,
-    PolicyUnderTest::FlexMem,
-    PolicyUnderTest::Telescope,
-    PolicyUnderTest::ChronoDcsc,
-    PolicyUnderTest::ChronoSemiAuto,
-    PolicyUnderTest::ChronoManual,
-];
-
-impl PolicyUnderTest {
-    /// Stable display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PolicyUnderTest::LinuxNb => "linux-nb",
-            PolicyUnderTest::AutoTiering => "autotiering",
-            PolicyUnderTest::MultiClock => "multiclock",
-            PolicyUnderTest::Tpp => "tpp",
-            PolicyUnderTest::Memtis => "memtis",
-            PolicyUnderTest::FlexMem => "flexmem",
-            PolicyUnderTest::Telescope => "telescope",
-            PolicyUnderTest::ChronoDcsc => "chrono-dcsc",
-            PolicyUnderTest::ChronoSemiAuto => "chrono-semiauto",
-            PolicyUnderTest::ChronoManual => "chrono-manual",
-        }
-    }
-
-    /// The scaled Chrono configuration shared by the Chrono modes.
-    fn chrono_config(scan_period: Nanos, step: u32) -> ChronoConfig {
-        ChronoConfig {
-            p_victim: 0.002,
-            ..ChronoConfig::scaled(scan_period, step)
-        }
-    }
-
-    /// Builds the policy at the fuzz scale. Chrono modes come back as the
-    /// concrete [`ChronoPolicy`] so queue-flow conservation can be checked
-    /// through its counters after the run.
-    fn build(&self, scan_period: Nanos, step: u32) -> BuiltPolicy {
-        match self {
-            PolicyUnderTest::LinuxNb => {
-                BuiltPolicy::Other(Box::new(LinuxNumaBalancing::new(LinuxNbConfig {
-                    scan_period,
-                    scan_step_pages: step,
-                    promote_tier_frac_per_period: 0.23,
-                })))
-            }
-            PolicyUnderTest::AutoTiering => {
-                BuiltPolicy::Other(Box::new(AutoTiering::new(AutoTieringConfig {
-                    scan_period,
-                    scan_step_pages: step,
-                    hot_lap_bits: 2,
-                    demote_interval: scan_period / 4,
-                })))
-            }
-            PolicyUnderTest::MultiClock => {
-                BuiltPolicy::Other(Box::new(MultiClock::new(MultiClockConfig {
-                    sweep_period: scan_period,
-                    sweep_step_pages: step,
-                    levels: 4,
-                    promote_level: 3,
-                    demote_interval: scan_period / 4,
-                })))
-            }
-            PolicyUnderTest::Tpp => BuiltPolicy::Other(Box::new(Tpp::new(TppConfig {
-                scan_period,
-                scan_step_pages: step,
-                demote_interval: scan_period / 4,
-            }))),
-            PolicyUnderTest::Memtis => BuiltPolicy::Other(Box::new(Memtis::new(MemtisConfig {
-                sample_period: 512,
-                migrate_interval: scan_period / 10,
-                cooling_interval: scan_period * 4,
-                adjust_interval: scan_period / 2,
-                fast_fill_ratio: 0.95,
-                split_enabled: true,
-                seed: 0x4D454D,
-            }))),
-            PolicyUnderTest::FlexMem => BuiltPolicy::Other(Box::new(FlexMem::new(FlexMemConfig {
-                sample_period: 509,
-                scan_period,
-                scan_step_pages: step,
-                migrate_interval: scan_period / 10,
-                cooling_interval: scan_period * 4,
-                hot_counter: 4,
-                demote_interval: scan_period / 4,
-                seed: 0xF1E4,
-            }))),
-            PolicyUnderTest::Telescope => {
-                BuiltPolicy::Other(Box::new(Telescope::new(TelescopeConfig {
-                    window: scan_period / 8,
-                    frontier_budget: 512,
-                    hot_windows: 2,
-                    demote_interval: scan_period / 2,
-                })))
-            }
-            PolicyUnderTest::ChronoDcsc => BuiltPolicy::Chrono(Box::new(ChronoPolicy::new(
-                Self::chrono_config(scan_period, step).variant_full(),
-            ))),
-            PolicyUnderTest::ChronoSemiAuto => BuiltPolicy::Chrono(Box::new(ChronoPolicy::new(
-                Self::chrono_config(scan_period, step).variant_twice(),
-            ))),
-            PolicyUnderTest::ChronoManual => {
-                let base = Self::chrono_config(scan_period, step);
-                let cit = base.initial_cit_threshold;
-                BuiltPolicy::Chrono(Box::new(ChronoPolicy::new(ChronoConfig {
-                    tuning: chrono_core::TuningMode::Manual {
-                        cit_threshold: cit,
-                        rate_limit: 120 * 1024 * 1024,
-                    },
-                    ..base
-                })))
-            }
-        }
-    }
-
-    /// Builds the policy at the fuzz scale as a plain trait object — the
-    /// form tenant shards hold their policy instances in.
-    pub fn build_boxed(&self, scan_period: Nanos, step: u32) -> Box<dyn TieringPolicy> {
-        self.build(scan_period, step).into_dyn()
-    }
-
-    /// [`Self::build_boxed`] for a chain of `tiers` managed tiers. Two tiers
-    /// reproduce the classic build bit for bit; on longer chains the Chrono
-    /// modes come back as a [`CascadeChrono`] and TPP / Multi-Clock as their
-    /// hop-wise generalizations. Policies without a chain-aware variant run
-    /// their classic logic against the top edge.
-    pub fn build_boxed_tiers(
-        &self,
-        scan_period: Nanos,
-        step: u32,
-        tiers: usize,
-    ) -> Box<dyn TieringPolicy> {
-        if tiers == 2 {
-            return self.build_boxed(scan_period, step);
-        }
-        match self {
-            PolicyUnderTest::MultiClock => Box::new(MultiClock::for_tiers(
-                MultiClockConfig {
-                    sweep_period: scan_period,
-                    sweep_step_pages: step,
-                    levels: 4,
-                    promote_level: 3,
-                    demote_interval: scan_period / 4,
-                },
-                tiers,
-            )),
-            PolicyUnderTest::Tpp => Box::new(Tpp::for_tiers(
-                TppConfig {
-                    scan_period,
-                    scan_step_pages: step,
-                    demote_interval: scan_period / 4,
-                },
-                tiers,
-            )),
-            PolicyUnderTest::ChronoDcsc => Box::new(CascadeChrono::new(
-                Self::chrono_config(scan_period, step).variant_full(),
-                tiers,
-            )),
-            PolicyUnderTest::ChronoSemiAuto => Box::new(CascadeChrono::new(
-                Self::chrono_config(scan_period, step).variant_twice(),
-                tiers,
-            )),
-            PolicyUnderTest::ChronoManual => {
-                let base = Self::chrono_config(scan_period, step);
-                let cit = base.initial_cit_threshold;
-                Box::new(CascadeChrono::new(
-                    ChronoConfig {
-                        tuning: chrono_core::TuningMode::Manual {
-                            cit_threshold: cit,
-                            rate_limit: 120 * 1024 * 1024,
-                        },
-                        ..base
-                    },
-                    tiers,
-                ))
-            }
-            _ => self.build_boxed(scan_period, step),
-        }
-    }
-
-    /// Whether this policy embeds Chrono's promotion queue (and therefore
-    /// must satisfy queue-flow conservation).
-    pub fn is_chrono(&self) -> bool {
-        matches!(
-            self,
-            PolicyUnderTest::ChronoDcsc
-                | PolicyUnderTest::ChronoSemiAuto
-                | PolicyUnderTest::ChronoManual
-        )
-    }
-}
-
-/// A built policy: Chrono held concretely (its queue-flow counters are
-/// checked after the run), everything else behind the trait object.
-enum BuiltPolicy {
-    /// One of the Chrono tuning modes.
-    Chrono(Box<ChronoPolicy>),
-    /// Any other policy.
-    Other(Box<dyn TieringPolicy>),
-}
-
-impl BuiltPolicy {
-    fn as_dyn(&mut self) -> &mut dyn TieringPolicy {
-        match self {
-            BuiltPolicy::Chrono(c) => &mut **c,
-            BuiltPolicy::Other(b) => &mut **b,
-        }
-    }
-
-    fn into_dyn(self) -> Box<dyn TieringPolicy> {
-        match self {
-            BuiltPolicy::Chrono(c) => c,
-            BuiltPolicy::Other(b) => b,
-        }
-    }
-}
+/// The policies the three-tier goldens and the tier-chaos profile run:
+/// cascaded Chrono and the hop-wise TPP generalization.
+pub const CHAIN_POLICIES: [PolicyKind; 2] = [PolicyKind::Chrono, PolicyKind::Tpp];
 
 /// Outcome of one seeded policy run.
 #[derive(Debug, Clone)]
 pub struct PolicyRunReport {
-    /// The policy that ran.
-    pub policy: &'static str,
+    /// The policy's [`PolicyKind::id`], followed by the tier count on
+    /// chains longer than two tiers (`chrono-dcsc3`).
+    pub policy: String,
     /// The seed the workload and system shape were derived from.
     pub seed: u64,
     /// Stable digest of the recorded trace (determinism/golden checks).
@@ -303,18 +58,21 @@ pub(crate) fn case_shape(seed: u64) -> (u32, u32, u64) {
     (total_frames, pages, wl_seed)
 }
 
-/// Runs one policy over one seeded workload with the oracle attached to the
-/// driver's inspect hook (checked every `ORACLE_STRIDE` steps and once at the
-/// end). Returns the report; never panics on violations — callers decide.
-pub fn run_policy_case(policy: PolicyUnderTest, seed: u64, run_millis: u64) -> PolicyRunReport {
-    run_policy_case_with_plan(policy, seed, run_millis, None)
+/// Runs one policy on the classic two-tier chain over one seeded workload
+/// with the oracle attached (see [`run_policy_case_with_plan`]).
+pub fn run_policy_case(policy: PolicyKind, seed: u64, run_millis: u64) -> PolicyRunReport {
+    run_policy_case_with_plan(policy, Topology::DramPmem, seed, run_millis, None)
 }
 
-/// [`run_policy_case`] with an optional fault plan attached to the system.
-/// The faulty goldens and the fault-storm policy sweep run through here;
-/// `None` reproduces the fault-free path bit for bit.
+/// Runs one policy on `topology` over one seeded workload with the oracle
+/// attached to the driver's inspect hook (checked every `ORACLE_STRIDE`
+/// steps and once at the end), and an optional fault plan, which must fit
+/// the chain. Every Chrono pair's queue and retry flows are
+/// conservation-checked after the run. Returns the report; never panics on
+/// violations — callers decide.
 pub fn run_policy_case_with_plan(
-    policy: PolicyUnderTest,
+    policy: PolicyKind,
+    topology: Topology,
     seed: u64,
     run_millis: u64,
     fault_plan: Option<FaultPlan>,
@@ -323,7 +81,11 @@ pub fn run_policy_case_with_plan(
     const MAX_KEPT: usize = 8;
 
     let (total_frames, pages, wl_seed) = case_shape(seed);
-    let mut cfg = SystemConfig::quarter_fast(total_frames);
+    let mut cfg = topology.system_config(total_frames);
+    if let Some(plan) = &fault_plan {
+        plan.validate_for(cfg.num_tiers())
+            .expect("fault plan fits the topology");
+    }
     cfg.fault_plan = fault_plan;
     let mut sys = TieredSystem::new(cfg);
     sys.enable_tracing(1 << 12);
@@ -331,8 +93,10 @@ pub fn run_policy_case_with_plan(
     sys.add_process(w.address_space_pages(), PageSize::Base);
     let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
 
-    let scan_period = Nanos::from_millis(5);
-    let mut built = policy.build(scan_period, 512);
+    let mut built = policy.instantiate(&Scale {
+        topology,
+        ..Scale::fuzz_scale()
+    });
 
     let mut oracle = InvariantOracle::new();
     let mut violations: Vec<Violation> = Vec::new();
@@ -358,20 +122,23 @@ pub fn run_policy_case_with_plan(
         violations.extend(oracle.check(&sys));
         violations.truncate(MAX_KEPT);
     }
-
-    // Chrono modes additionally expose promotion-queue and retry-pool flow
-    // counters; check conservation through the concrete policy handle.
-    if let BuiltPolicy::Chrono(c) = &built {
-        if let Some(v) = InvariantOracle::check_queue_flow(&c.queue_flow()) {
-            violations.push(v);
-        }
-        if let Some(v) = InvariantOracle::check_retry_flow(&c.retry_flow()) {
-            violations.push(v);
-        }
-    }
+    let pairs = built.chrono_pairs();
+    violations.extend(
+        pairs
+            .iter()
+            .filter_map(|p| InvariantOracle::check_queue_flow(&p.queue_flow())),
+    );
+    violations.extend(
+        pairs
+            .iter()
+            .filter_map(|p| InvariantOracle::check_retry_flow(&p.retry_flow())),
+    );
 
     PolicyRunReport {
-        policy: policy.name(),
+        policy: match topology.num_tiers() {
+            2 => policy.id().to_string(),
+            n => format!("{}{n}", policy.id()),
+        },
         seed,
         digest: sys.trace.digest(),
         accesses: result.accesses,
@@ -384,145 +151,10 @@ pub fn run_policy_case_with_plan(
 
 /// Differential determinism check: runs the policy twice on the same seed
 /// and returns the two digests (equal iff the pipeline is deterministic).
-pub fn determinism_digests(policy: PolicyUnderTest, seed: u64, run_millis: u64) -> (u64, u64) {
+pub fn determinism_digests(policy: PolicyKind, seed: u64, run_millis: u64) -> (u64, u64) {
     let a = run_policy_case(policy, seed, run_millis);
     let b = run_policy_case(policy, seed, run_millis);
     (a.digest, b.digest)
-}
-
-/// Policies snapshotted on the three-tier golden chain: cascaded Chrono
-/// (full DCSC tuning per edge) and the hop-wise TPP generalization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreeTierPolicy {
-    /// [`CascadeChrono`] over three managed tiers (two edges).
-    ChronoDcsc3,
-    /// [`Tpp`] generalized to three managed tiers.
-    Tpp3,
-}
-
-/// All three-tier golden policies, in the order the snapshot table uses.
-pub const THREE_TIER_POLICIES: [ThreeTierPolicy; 2] =
-    [ThreeTierPolicy::ChronoDcsc3, ThreeTierPolicy::Tpp3];
-
-impl ThreeTierPolicy {
-    /// Stable display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ThreeTierPolicy::ChronoDcsc3 => "chrono-dcsc3",
-            ThreeTierPolicy::Tpp3 => "tpp3",
-        }
-    }
-}
-
-/// Runs one three-tier policy over the seeded workload shape on a
-/// DRAM+CXL+PMem chain, with the oracle attached exactly as
-/// [`run_policy_case`] does. The cascade's per-pair queue/retry flows are
-/// conservation-checked after the run.
-pub fn run_three_tier_case(policy: ThreeTierPolicy, seed: u64, run_millis: u64) -> PolicyRunReport {
-    run_three_tier_case_with_plan(policy, seed, run_millis, None)
-}
-
-/// [`run_three_tier_case`] with an optional fault plan attached — the
-/// tier-chaos fuzz profile runs through here with plans that take whole
-/// tiers offline mid-run. `None` reproduces the fault-free path bit for
-/// bit.
-pub fn run_three_tier_case_with_plan(
-    policy: ThreeTierPolicy,
-    seed: u64,
-    run_millis: u64,
-    fault_plan: Option<FaultPlan>,
-) -> PolicyRunReport {
-    const ORACLE_STRIDE: u64 = 128;
-    const MAX_KEPT: usize = 8;
-
-    let (total_frames, pages, wl_seed) = case_shape(seed);
-    // Same total capacity as the two-tier shape, split into a chain: a small
-    // top, a mid twice its size, and the remainder at the bottom.
-    let fast = total_frames / 8;
-    let mid = total_frames / 4;
-    let mut cfg = SystemConfig::three_tier(fast, mid, total_frames - fast - mid);
-    if let Some(plan) = &fault_plan {
-        plan.validate_for(3).expect("plan fits a three-tier chain");
-    }
-    cfg.fault_plan = fault_plan;
-    let mut sys = TieredSystem::new(cfg);
-    sys.enable_tracing(1 << 12);
-    let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(pages, 0.7, wl_seed));
-    sys.add_process(w.address_space_pages(), PageSize::Base);
-    let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
-
-    let scan_period = Nanos::from_millis(5);
-    let mut cascade: Option<Box<CascadeChrono>> = None;
-    let mut other: Option<Box<dyn TieringPolicy>> = None;
-    match policy {
-        ThreeTierPolicy::ChronoDcsc3 => {
-            let cfg = PolicyUnderTest::chrono_config(scan_period, 512).variant_full();
-            cascade = Some(Box::new(CascadeChrono::new(cfg, 3)));
-        }
-        ThreeTierPolicy::Tpp3 => {
-            other = Some(Box::new(Tpp::for_tiers(
-                TppConfig {
-                    scan_period,
-                    scan_step_pages: 512,
-                    demote_interval: scan_period / 4,
-                },
-                3,
-            )));
-        }
-    }
-    let policy_dyn: &mut dyn TieringPolicy = match (&mut cascade, &mut other) {
-        (Some(c), _) => &mut **c,
-        (_, Some(o)) => &mut **o,
-        _ => unreachable!(),
-    };
-
-    let mut oracle = InvariantOracle::new();
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut steps = 0u64;
-    let driver = SimulationDriver::new(DriverConfig {
-        run_for: Nanos::from_millis(run_millis),
-        ..Default::default()
-    });
-    let result = driver.run_inspected(
-        &mut sys,
-        &mut wls,
-        policy_dyn,
-        |_, _, _, _| {},
-        |s| {
-            steps += 1;
-            if steps.is_multiple_of(ORACLE_STRIDE) && violations.len() < MAX_KEPT {
-                violations.extend(oracle.check(s));
-                violations.truncate(MAX_KEPT);
-            }
-        },
-    );
-    if violations.len() < MAX_KEPT {
-        violations.extend(oracle.check(&sys));
-        violations.truncate(MAX_KEPT);
-    }
-    if let Some(c) = &cascade {
-        for f in c.queue_flows() {
-            if let Some(v) = InvariantOracle::check_queue_flow(&f) {
-                violations.push(v);
-            }
-        }
-        for f in c.retry_flows() {
-            if let Some(v) = InvariantOracle::check_retry_flow(&f) {
-                violations.push(v);
-            }
-        }
-    }
-
-    PolicyRunReport {
-        policy: policy.name(),
-        seed,
-        digest: sys.trace.digest(),
-        accesses: result.accesses,
-        oracle_checks: oracle.checks,
-        tier_health_transitions: sys.stats.tier_health_transitions,
-        evacuated_pages: sys.stats.evacuated_pages,
-        violations,
-    }
 }
 
 /// One tier-chaos fuzz case: a three-tier cascade run under a seed-chosen
@@ -539,8 +171,8 @@ pub fn fuzz_one_tier_chaos(seed: u64, run_millis: u64) -> PolicyRunReport {
     } else {
         FaultPlan::storm3(seed, horizon)
     };
-    let policy = THREE_TIER_POLICIES[(seed >> 1) as usize % THREE_TIER_POLICIES.len()];
-    run_three_tier_case_with_plan(policy, seed, run_millis, Some(plan))
+    let policy = CHAIN_POLICIES[(seed >> 1) as usize % CHAIN_POLICIES.len()];
+    run_policy_case_with_plan(policy, Topology::ThreeTier, seed, run_millis, Some(plan))
 }
 
 #[cfg(test)]
@@ -549,7 +181,7 @@ mod tests {
 
     #[test]
     fn every_policy_runs_clean_on_one_seed() {
-        for p in ALL_POLICIES {
+        for p in PolicyKind::FUZZED {
             let r = run_policy_case(p, 0x5EED, 20);
             assert!(r.accesses > 0, "{} did nothing", r.policy);
             assert!(r.oracle_checks > 0, "{} was never checked", r.policy);
@@ -565,9 +197,10 @@ mod tests {
     #[test]
     fn chrono_modes_run_clean_and_deterministic_under_canonical_faults() {
         let plan = FaultPlan::canonical(7, Nanos::from_millis(20));
-        for p in ALL_POLICIES.into_iter().filter(|p| p.is_chrono()) {
-            let a = run_policy_case_with_plan(p, 0x5EED, 20, Some(plan.clone()));
-            let b = run_policy_case_with_plan(p, 0x5EED, 20, Some(plan.clone()));
+        for p in PolicyKind::FUZZED.into_iter().filter(|p| p.is_chrono()) {
+            let faulty =
+                || run_policy_case_with_plan(p, Topology::DramPmem, 0x5EED, 20, Some(plan.clone()));
+            let (a, b) = (faulty(), faulty());
             assert!(a.clean(), "{} violated: {:?}", a.policy, a.violations);
             assert_eq!(
                 a.digest, b.digest,
@@ -583,9 +216,9 @@ mod tests {
 
     #[test]
     fn three_tier_policies_run_clean_and_deterministic() {
-        for p in THREE_TIER_POLICIES {
-            let a = run_three_tier_case(p, 0x5EED, 20);
-            let b = run_three_tier_case(p, 0x5EED, 20);
+        for p in CHAIN_POLICIES {
+            let run = || run_policy_case_with_plan(p, Topology::ThreeTier, 0x5EED, 20, None);
+            let (a, b) = (run(), run());
             assert!(a.accesses > 0, "{} did nothing", a.policy);
             assert!(a.clean(), "{} violated: {:?}", a.policy, a.violations);
             assert_eq!(a.digest, b.digest, "{} nondeterministic", a.policy);
@@ -622,8 +255,8 @@ mod tests {
 
     #[test]
     fn chrono_digest_differs_across_seeds() {
-        let a = run_policy_case(PolicyUnderTest::ChronoDcsc, 1, 20);
-        let b = run_policy_case(PolicyUnderTest::ChronoDcsc, 2, 20);
+        let a = run_policy_case(PolicyKind::Chrono, 1, 20);
+        let b = run_policy_case(PolicyKind::Chrono, 2, 20);
         assert_ne!(a.digest, b.digest, "different seeds must diverge");
     }
 }

@@ -41,7 +41,8 @@ use tiering_policies::{
 use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
 use crate::oracle::{InvariantOracle, Violation};
-use crate::policy_fuzz::{case_shape, PolicyUnderTest, ALL_POLICIES};
+use crate::policy_fuzz::case_shape;
+use crate::registry::{PolicyKind, Scale};
 
 /// Stream id the per-tenant weight RNG is split on.
 const WEIGHT_STREAM: u64 = 0x57A5_0001;
@@ -50,11 +51,7 @@ const WORKLOAD_STREAM: u64 = 0x3AD3_0000;
 /// Stream id per-tenant fault plans are split on (tenant-storm only).
 const FAULT_STREAM: u64 = 0xFA57_0000;
 
-/// Scan period (and barrier interval) of every sharded fuzz case — matches
-/// the classic fuzz scale so single-tenant runs reproduce classic digests.
-const SCAN_PERIOD_MS: u64 = 5;
-
-/// Tenant count of the committed shard golden (see `golden::compute_shard_golden`).
+/// Tenant count of the committed shard and tier-chaos goldens (`golden.rs`).
 pub const SHARD_GOLDEN_TENANTS: usize = 3;
 
 /// Outcome of one sharded policy case.
@@ -112,14 +109,14 @@ pub fn tenant_weights(seed: u64, tenants: usize) -> Vec<u64> {
 /// attaches an optional plan per tenant (id-keyed, so plans are stable
 /// across thread counts).
 fn build_shards(
-    policy_for: &dyn Fn(u32) -> PolicyUnderTest,
+    policy_for: &dyn Fn(u32) -> PolicyKind,
     seed: u64,
     tenants: usize,
     run_millis: u64,
     fault_plan_for: &dyn Fn(u32) -> Option<FaultPlan>,
 ) -> (Vec<TenantShard>, PartitionPlan) {
     let (total_frames, pages, wl_seed) = case_shape(seed);
-    let scan_period = Nanos::from_millis(SCAN_PERIOD_MS);
+    let scale = Scale::fuzz_scale();
     let driver = DriverConfig {
         run_for: Nanos::from_millis(run_millis),
         ..Default::default()
@@ -139,7 +136,7 @@ fn build_shards(
             1,
             sys,
             vec![Box::new(w)],
-            policy_for(0).build_boxed(scan_period, 512),
+            policy_for(0).build(&scale),
             driver,
         );
         let plan = PartitionPlan::split_even(total_frames / 4, total_frames - total_frames / 4, 1);
@@ -171,7 +168,7 @@ fn build_shards(
                 weights[i],
                 sys,
                 vec![Box::new(w) as Box<dyn Workload>],
-                policy_for(i as u32).build_boxed(scan_period, 512),
+                policy_for(i as u32).build(&scale),
                 driver.clone(),
             )
         })
@@ -293,7 +290,7 @@ fn check_cross_shard(shards: &[TenantShard], plan: &PartitionPlan, out: &mut Vec
 /// admission hook optionally enabled (its slot pool spans the global
 /// `MigrationSpec` default). Violations never panic — callers decide.
 pub fn run_sharded_case(
-    policy: PolicyUnderTest,
+    policy: PolicyKind,
     seed: u64,
     run_millis: u64,
     tenants: usize,
@@ -308,7 +305,7 @@ pub fn run_sharded_case(
 /// off) and a per-tenant fault-plan selector (tenant-id keyed so the same
 /// plans attach regardless of thread count).
 pub fn run_sharded_case_with_plans(
-    policy: PolicyUnderTest,
+    policy: PolicyKind,
     seed: u64,
     run_millis: u64,
     tenants: usize,
@@ -317,7 +314,7 @@ pub fn run_sharded_case_with_plans(
     fault_plan_for: &dyn Fn(u32) -> Option<FaultPlan>,
 ) -> ShardedCaseReport {
     run_sharded_case_mixed(
-        policy.name(),
+        policy.id(),
         &|_| policy,
         seed,
         run_millis,
@@ -334,7 +331,7 @@ pub fn run_sharded_case_with_plans(
 #[allow(clippy::too_many_arguments)]
 pub fn run_sharded_case_mixed(
     label: &'static str,
-    policy_for: &dyn Fn(u32) -> PolicyUnderTest,
+    policy_for: &dyn Fn(u32) -> PolicyKind,
     seed: u64,
     run_millis: u64,
     tenants: usize,
@@ -363,7 +360,7 @@ pub fn run_sharded_case_mixed(
 /// barrier-discipline claim the static rules and the interleaving model
 /// check check structurally.
 pub fn run_sharded_case_permuted(
-    policy: PolicyUnderTest,
+    policy: PolicyKind,
     seed: u64,
     run_millis: u64,
     tenants: usize,
@@ -373,7 +370,7 @@ pub fn run_sharded_case_permuted(
 ) -> ShardedCaseReport {
     let slots = admission.then(|| AdmissionConfig::default().total_slots);
     run_sharded_case_full(
-        policy.name(),
+        policy.id(),
         &|_| policy,
         seed,
         run_millis,
@@ -416,13 +413,13 @@ pub fn shard_tier_chaos_events(run_millis: u64) -> Vec<TierEvent> {
 /// single-threaded; the thread-invariance suite replays it at 2 and 8
 /// workers and must reproduce the table bit for bit.
 pub fn run_sharded_tier_chaos_case(
-    policy: PolicyUnderTest,
+    policy: PolicyKind,
     seed: u64,
     run_millis: u64,
     threads: usize,
 ) -> ShardedCaseReport {
     run_sharded_case_full(
-        policy.name(),
+        policy.id(),
         &|_| policy,
         seed,
         run_millis,
@@ -438,7 +435,7 @@ pub fn run_sharded_tier_chaos_case(
 #[allow(clippy::too_many_arguments)]
 fn run_sharded_case_full(
     label: &'static str,
-    policy_for: &dyn Fn(u32) -> PolicyUnderTest,
+    policy_for: &dyn Fn(u32) -> PolicyKind,
     seed: u64,
     run_millis: u64,
     tenants: usize,
@@ -451,7 +448,8 @@ fn run_sharded_case_full(
     const MAX_KEPT: usize = 8;
     let (shards, plan) = build_shards(policy_for, seed, tenants, run_millis, fault_plan_for);
     let mut cfg = ShardedConfig::new(Nanos::from_millis(run_millis));
-    cfg.barrier_interval = Nanos::from_millis(SCAN_PERIOD_MS);
+    // Barriers fall on the fuzz scale's scan periods.
+    cfg.barrier_interval = Scale::fuzz_scale().scan_period;
     cfg.threads = threads;
     cfg.permute_seed = permute_seed;
     cfg.tier_events = tier_events;
@@ -526,7 +524,7 @@ fn run_sharded_case_full(
 }
 
 /// One tenant-storm fuzz case: 4–8 tenants with mixed policies (rotated
-/// through [`ALL_POLICIES`] from a seed-derived offset), skewed weights, the
+/// through [`PolicyKind::FUZZED`] from a seed-derived offset), skewed weights, the
 /// admission hook on, and a canonical fault plan (capacity shrink, copy
 /// faults, degradation) attached to one seed-chosen tenant — cross-tenant
 /// allocation pressure, concurrent promotion drains, and mid-barrier
@@ -535,7 +533,7 @@ pub fn fuzz_one_tenant_storm(seed: u64, run_millis: u64) -> ShardedCaseReport {
     let mut rng = DetRng::split(seed, FAULT_STREAM);
     let tenants = 4 + rng.below(5) as usize; // 4..=8
     let threads = 1 + rng.below(4) as usize; // 1..=4
-    let offset = rng.below(ALL_POLICIES.len() as u64) as usize;
+    let offset = rng.below(PolicyKind::FUZZED.len() as u64) as usize;
     // At least one tenant always runs a Chrono mode: its two-phase
     // migrations hold in-flight slots across the copy window, so a tight
     // cap actually binds (baselines complete instantly and rarely queue).
@@ -550,9 +548,9 @@ pub fn fuzz_one_tenant_storm(seed: u64, run_millis: u64) -> ShardedCaseReport {
         "storm-mixed",
         &move |id| {
             if id == chrono_tenant {
-                PolicyUnderTest::ChronoDcsc
+                PolicyKind::Chrono
             } else {
-                ALL_POLICIES[(offset + id as usize) % ALL_POLICIES.len()]
+                PolicyKind::FUZZED[(offset + id as usize) % PolicyKind::FUZZED.len()]
             }
         },
         seed,
@@ -579,7 +577,7 @@ mod tests {
     fn single_tenant_sharded_run_reproduces_classic_digest() {
         // The compat path: one tenant, hook off ⇒ byte-identical to the
         // classic driver for a Chrono mode and a baseline.
-        for p in [PolicyUnderTest::ChronoDcsc, PolicyUnderTest::Tpp] {
+        for p in [PolicyKind::Chrono, PolicyKind::Tpp] {
             let classic = run_policy_case(p, 0x5EED, 10);
             for threads in [1usize, 4] {
                 let sharded = run_sharded_case(p, 0x5EED, 10, 1, threads, false);
@@ -596,7 +594,7 @@ mod tests {
 
     #[test]
     fn multi_tenant_case_is_thread_invariant_and_clean() {
-        let p = PolicyUnderTest::ChronoDcsc;
+        let p = PolicyKind::Chrono;
         let one = run_sharded_case(p, 0xABCD, 10, 4, 1, true);
         let eight = run_sharded_case(p, 0xABCD, 10, 4, 8, true);
         assert_eq!(one.combined_digest, eight.combined_digest);
@@ -612,7 +610,7 @@ mod tests {
         // tenant dies mid-run and rejoins, applied at barriers — 1-, 2-,
         // and 8-worker replays must produce the same tables bit for bit,
         // and the arc must genuinely fire (evacuations, health churn).
-        let p = PolicyUnderTest::ChronoDcsc;
+        let p = PolicyKind::Chrono;
         let one = run_sharded_tier_chaos_case(p, 0xABCD, 10, 1);
         assert!(one.clean(), "violations: {:?}", one.violations);
         assert!(one.tier_health_transitions > 0, "no tier ever failed");
@@ -663,7 +661,7 @@ mod tests {
         // The dynamic chrono-race property: a seeded per-window shuffle of
         // the shard step order (sequential and threaded) must leave the
         // whole report identical to the unpermuted run.
-        let p = PolicyUnderTest::ChronoDcsc;
+        let p = PolicyKind::Chrono;
         let base = run_sharded_case(p, 0xABCD, 10, 4, 1, true);
         for permute in [0x0101u64, 0xDEAD_BEEF] {
             for threads in [1usize, 4] {

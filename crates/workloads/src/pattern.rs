@@ -214,7 +214,7 @@ mod tests {
     fn uniform_covers_space() {
         let mut p = UniformPattern::new(100);
         let mut rng = DetRng::seed(1);
-        let mut seen = vec![false; 100];
+        let mut seen = [false; 100];
         for _ in 0..10_000 {
             seen[p.sample(&mut rng).0 as usize] = true;
         }

@@ -7,9 +7,9 @@
 use chrono_repro::sim_clock::Nanos;
 use chrono_repro::tiered_mem::FaultPlan;
 use chrono_repro::tiering_verify::{
-    determinism_digests, golden, run_policy_case, run_sharded_case, run_sharded_case_permuted,
-    run_sharded_case_with_plans, run_three_tier_case, PolicyUnderTest, ALL_POLICIES,
-    SHARD_GOLDEN_TENANTS, THREE_TIER_POLICIES,
+    determinism_digests, golden, run_policy_case, run_policy_case_with_plan, run_sharded_case,
+    run_sharded_case_permuted, run_sharded_case_with_plans, PolicyKind, Topology, CHAIN_POLICIES,
+    SHARD_GOLDEN_TENANTS,
 };
 
 /// Parses one golden table line: `<policy> <digest-hex> <accesses> [tenant
@@ -30,13 +30,13 @@ const RUN_MILLIS: u64 = 10;
 
 #[test]
 fn every_policy_is_deterministic() {
-    for p in ALL_POLICIES {
+    for p in PolicyKind::FUZZED {
         let (a, b) = determinism_digests(p, SEED, RUN_MILLIS);
         assert_eq!(
             a,
             b,
             "{}: same seed produced different trace digests ({a:016x} vs {b:016x})",
-            p.name()
+            p.id()
         );
     }
 }
@@ -66,12 +66,12 @@ fn committed_goldens_match_recomputation() {
 #[test]
 fn sharded_compat_reproduces_committed_goldens() {
     for &seed in &golden::GOLDEN_SEEDS {
-        let table = std::fs::read_to_string(golden::golden_path(seed))
+        let table = std::fs::read_to_string(golden::golden_path("seed", seed))
             .expect("committed golden missing — run `harness verify --bless`");
         for (i, line) in table.lines().filter(|l| !l.starts_with('#')).enumerate() {
             let (name, digest, accesses, _) = parse_golden_line(line);
-            let p = ALL_POLICIES[i];
-            assert_eq!(p.name(), name, "golden table order drifted");
+            let p = PolicyKind::FUZZED[i];
+            assert_eq!(p.id(), name, "golden table order drifted");
             let r = run_sharded_case(p, seed, golden::GOLDEN_MILLIS, 1, 2, false);
             assert_eq!(
                 r.combined_digest, digest,
@@ -94,12 +94,12 @@ fn sharded_compat_reproduces_committed_goldens() {
 #[test]
 fn shard_goldens_are_thread_invariant() {
     for &seed in &golden::GOLDEN_SEEDS {
-        let table = std::fs::read_to_string(golden::shard_golden_path(seed))
+        let table = std::fs::read_to_string(golden::golden_path("shard_seed", seed))
             .expect("committed shard golden missing — run `harness verify --bless`");
         for (i, line) in table.lines().filter(|l| !l.starts_with('#')).enumerate() {
             let (name, digest, accesses, tenant_digests) = parse_golden_line(line);
-            let p = ALL_POLICIES[i];
-            assert_eq!(p.name(), name, "shard golden table order drifted");
+            let p = PolicyKind::FUZZED[i];
+            assert_eq!(p.id(), name, "shard golden table order drifted");
             for threads in [1usize, 2, 8] {
                 let r = run_sharded_case(
                     p,
@@ -135,12 +135,12 @@ fn shard_goldens_are_thread_invariant() {
 #[test]
 fn shard_goldens_survive_permuted_step_order() {
     for &seed in &golden::GOLDEN_SEEDS {
-        let table = std::fs::read_to_string(golden::shard_golden_path(seed))
+        let table = std::fs::read_to_string(golden::golden_path("shard_seed", seed))
             .expect("committed shard golden missing — run `harness verify --bless`");
         for (i, line) in table.lines().filter(|l| !l.starts_with('#')).enumerate() {
             let (name, digest, accesses, tenant_digests) = parse_golden_line(line);
-            let p = ALL_POLICIES[i];
-            assert_eq!(p.name(), name, "shard golden table order drifted");
+            let p = PolicyKind::FUZZED[i];
+            assert_eq!(p.id(), name, "shard golden table order drifted");
             for (permute, threads) in [(0x9E_0001u64, 1usize), (0x9E_0002, 2)] {
                 let r = run_sharded_case_permuted(
                     p,
@@ -175,13 +175,19 @@ fn shard_goldens_survive_permuted_step_order() {
 #[test]
 fn three_tier_goldens_match_recomputation() {
     for &seed in &golden::GOLDEN_SEEDS {
-        let table = std::fs::read_to_string(golden::three_tier_golden_path(seed))
+        let table = std::fs::read_to_string(golden::golden_path("threetier_seed", seed))
             .expect("committed three-tier golden missing — run `harness verify --bless`");
         for (i, line) in table.lines().filter(|l| !l.starts_with('#')).enumerate() {
             let (name, digest, accesses, _) = parse_golden_line(line);
-            let p = THREE_TIER_POLICIES[i];
-            assert_eq!(p.name(), name, "three-tier golden table order drifted");
-            let r = run_three_tier_case(p, seed, golden::GOLDEN_MILLIS);
+            let p = CHAIN_POLICIES[i];
+            let r = run_policy_case_with_plan(
+                p,
+                Topology::ThreeTier,
+                seed,
+                golden::GOLDEN_MILLIS,
+                None,
+            );
+            assert_eq!(r.policy, name, "three-tier golden table order drifted");
             assert_eq!(
                 r.digest, digest,
                 "{name}/{seed:#x}: three-tier digest diverged from committed golden"
@@ -205,7 +211,7 @@ fn faulty_multi_tenant_replay_is_thread_invariant() {
         move |id: u32| (id == 1).then(|| FaultPlan::canonical(0xFA_0002 ^ id as u64, horizon));
     let run = |threads: usize| {
         run_sharded_case_with_plans(
-            PolicyUnderTest::ChronoDcsc,
+            PolicyKind::Chrono,
             0xFA_0002,
             RUN_MILLIS,
             4,
@@ -226,14 +232,14 @@ fn faulty_multi_tenant_replay_is_thread_invariant() {
 fn digests_depend_on_the_seed() {
     // Guard against a degenerate digest (e.g. hashing nothing): different
     // seeds must diverge for at least the trace-rich policies.
-    for p in ALL_POLICIES {
+    for p in PolicyKind::FUZZED {
         let a = run_policy_case(p, 0xA11CE, RUN_MILLIS);
         let b = run_policy_case(p, 0xB0B, RUN_MILLIS);
         assert_ne!(
             a.digest,
             b.digest,
             "{}: different seeds collided — digest is not capturing the run",
-            p.name()
+            p.id()
         );
     }
 }
