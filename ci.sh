@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, test, format, lint. Everything here must pass
-# offline (the workspace has no external dependencies; benchmarks are the
+# Tier-1 verification: build, test, format, lint, docs. Everything here must
+# pass offline (the workspace has no external dependencies; benchmarks are the
 # dependency-free `harness bench` subcommand).
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -32,6 +32,11 @@ cargo clippy --all-targets -- -D warnings
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Doc comments link to public names across crates; a rename or deletion
+# that leaves a link dangling fails here.
+echo "== cargo doc --workspace --no-deps (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== harness lint (chrono-lint: zero unwaived findings)"
 ./target/release/harness lint

@@ -1,6 +1,6 @@
 //! cgroup memory-limit enforcement via slow-tier reclamation.
 //!
-//! Section 3.3.1: "Chrono [accommodates] user-defined memory limits (e.g.
+//! Section 3.3.1: "Chrono \[accommodates\] user-defined memory limits (e.g.
 //! cgroups memory.limit), while prioritizing the retention of hot pages in
 //! the fast tier. When memory limits are reached, Chrono initiates slow-tier
 //! reclamation to relieve memory pressure while maintaining the placement

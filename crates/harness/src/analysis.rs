@@ -33,14 +33,7 @@ use tiering_analysis::{
     GrantRule, Transition, RULES,
 };
 
-/// Removes `--flag` from `args`, reporting whether it was present.
-fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return false;
-    };
-    args.remove(pos);
-    true
-}
+use crate::take_bool_flag;
 
 /// Writes `rendered` to `golden` under `--bless`, otherwise diffs it
 /// against the committed file, printing the outcome either way. `cmd`

@@ -50,6 +50,7 @@ use tiering_verify::InvariantOracle;
 use workloads::{AccessReq, PmbenchConfig, PmbenchWorkload, Workload};
 
 use crate::runner::{run_policy, PolicyKind, Scale, Topology};
+use crate::take_bool_flag;
 use crate::tenants::{run_fleet, FleetConfig};
 
 /// Schema tag written into (and required from) every bench JSON file.
@@ -704,15 +705,6 @@ fn plural(unit: &str) -> String {
     match unit {
         "access" => "accesses".to_string(),
         u => format!("{u}s"),
-    }
-}
-
-fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(pos) = args.iter().position(|a| a == flag) {
-        args.remove(pos);
-        true
-    } else {
-        false
     }
 }
 

@@ -22,3 +22,13 @@ pub mod tenants;
 pub mod verify;
 
 pub use runner::{FaultPlanKind, PolicyKind, Scale, StandardRun, Topology};
+
+/// Removes `--flag` from a subcommand's `args`, reporting whether it was
+/// present.
+pub(crate) fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let Some(pos) = args.iter().position(|a| a == flag) else {
+        return false;
+    };
+    args.remove(pos);
+    true
+}

@@ -10,62 +10,38 @@
 //!
 //! `verify` runs the differential determinism check for every policy, the
 //! metamorphic relations, and the golden-trace snapshots (`--bless` rewrites
-//! the snapshots instead of diffing them). `fuzz` runs seeded op-schedule
-//! fuzzing of the substrate; failures are shrunk and printed as replayable
-//! schedules. `--replay SEED` re-runs a single reported seed; `--self-test`
-//! injects a known corruption and checks the pipeline catches and shrinks
-//! it. `--migration-stress` switches to the migration-heavy profile:
-//! write-dominated access mixes over tiny in-flight tables, so the
-//! write-abort, split-abort and `Backpressure` paths fire constantly.
-//! `--fault-storm` switches to the fault-injection profile: every case
-//! carries a storm-rate `FaultPlan` and the op mix adds frame poisoning,
-//! capacity shrink/grow and channel-degradation windows, so the quarantine,
-//! soft-offline and watermark-rescale paths run under the oracle.
-//! `--tenant-storm` switches to the multi-tenant sharded profile: 4–8
-//! tenants with mixed policies over a weighted frame partition, the
-//! admission hook on a deliberately tight slot pool, and a fault plan on one
-//! tenant — checked against the cross-shard invariants (global frame
-//! conservation, PFN exclusivity, per-tenant slot-flow conservation).
-//! `--three-tier` switches to the tier-chain profile: every case runs over a
-//! DRAM+CXL+PMem chain and the op mix draws migration destinations, victim
-//! pops, ageing and degradation windows across all three tiers, so the
-//! per-edge engines and the generalized residency invariants run under the
-//! oracle. `--tier-chaos` switches to the tier failure-domain profile:
-//! end-to-end three-tier policy runs under the `canonical3`/`storm3` plans
-//! (mid-run degrade → offline with live evacuation → rejoin), oracle
-//! attached, with an effectiveness self-test asserting the sweep actually
-//! failed and drained tiers.
+//! the snapshots instead of diffing them). `fuzz` sweeps seeds of one
+//! profile of `tiering_verify::PROFILES` (the clean substrate profile by
+//! default; each other row names its flag and says what it exercises):
+//! failures are shrunk or listed, and the sweep fails if a counter its row
+//! names never moved. `--replay SEED` re-runs a single reported seed;
+//! `--self-test` injects a known corruption into a clean case and checks
+//! the pipeline catches and shrinks it. A flag the chosen mode would ignore
+//! is a usage error.
 
-use tiering_verify::ops::{generate_ops, CaseConfig, FuzzOp};
+use tiering_verify::profile::{self_test, Case, Length};
 use tiering_verify::{
-    bless_goldens, check_goldens, determinism_digests, fuzz_one, fuzz_one_fault_storm,
-    fuzz_one_stress, fuzz_one_three_tier, metamorphic, GoldenStatus, PolicyKind,
+    bless_goldens, check_goldens, determinism_digests, metamorphic, FuzzProfile, GoldenStatus,
+    PolicyKind, CLEAN, PROFILES,
 };
 
-/// Parses `--flag N` out of `args`; returns the default when absent.
-fn take_u64_flag(args: &mut Vec<String>, flag: &str, default: u64) -> u64 {
+use crate::take_bool_flag;
+
+/// Parses `--flag N` (decimal or `0x` hex) out of `args`; `None` when
+/// absent.
+fn take_u64_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<u64>, String> {
     let Some(pos) = args.iter().position(|a| a == flag) else {
-        return default;
+        return Ok(None);
     };
     let value = args.get(pos + 1).and_then(|v| match v.strip_prefix("0x") {
         Some(hex) => u64::from_str_radix(hex, 16).ok(),
         None => v.parse().ok(),
     });
     let Some(value) = value else {
-        eprintln!("{flag} requires an integer argument");
-        std::process::exit(2);
+        return Err(format!("{flag} requires an integer argument"));
     };
     args.drain(pos..=pos + 1);
-    value
-}
-
-/// Removes `--flag` from `args`, reporting whether it was present.
-fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return false;
-    };
-    args.remove(pos);
-    true
+    Ok(Some(value))
 }
 
 /// `harness verify [--bless]`. Returns the process exit code.
@@ -135,291 +111,187 @@ pub fn run_verify(mut args: Vec<String>) -> i32 {
     }
 }
 
-/// `harness fuzz [--seeds N] [--ops N] [--seed-base X] [--replay SEED]
-/// [--self-test] [--migration-stress] [--fault-storm] [--tenant-storm]
-/// [--three-tier] [--tier-chaos]`. Returns the process exit code.
-pub fn run_fuzz(mut args: Vec<String>) -> i32 {
-    let stress = take_bool_flag(&mut args, "--migration-stress");
-    let fault_storm = take_bool_flag(&mut args, "--fault-storm");
-    let tenant_storm = take_bool_flag(&mut args, "--tenant-storm");
-    let three_tier = take_bool_flag(&mut args, "--three-tier");
-    let tier_chaos = take_bool_flag(&mut args, "--tier-chaos");
-    if [stress, fault_storm, tenant_storm, three_tier, tier_chaos]
-        .iter()
-        .filter(|&&b| b)
-        .count()
-        > 1
-    {
-        eprintln!(
-            "fuzz: --migration-stress, --fault-storm, --tenant-storm, --three-tier \
-             and --tier-chaos are mutually exclusive"
-        );
-        return 2;
+/// What `harness fuzz` runs once its flags check out.
+enum FuzzRun {
+    /// `seeds` cases from `seed_base`.
+    Sweep { seeds: u64, seed_base: u64 },
+    /// One seed.
+    Replay(u64),
+    /// The injected-corruption check, from the first base-page case at or
+    /// after `seed_base`.
+    SelfTest { seed_base: u64 },
+}
+
+/// Parses `harness fuzz`'s flags into the profile row, the run and `--ops`.
+fn parse_fuzz(mut args: Vec<String>) -> Result<(&'static FuzzProfile, FuzzRun, u64), String> {
+    let mut chosen = Vec::new();
+    for p in &PROFILES {
+        if p.flag.is_some_and(|f| take_bool_flag(&mut args, f)) {
+            chosen.push(p);
+        }
     }
-    let seeds = take_u64_flag(&mut args, "--seeds", 256);
-    let ops = take_u64_flag(&mut args, "--ops", 4000) as usize;
-    let default_base = if stress {
-        0x57E5_5000
-    } else if fault_storm {
-        0xFA17_0000
-    } else if tenant_storm {
-        0x7E4A_0000
-    } else if three_tier {
-        0x37E1_0000
-    } else if tier_chaos {
-        0x7C40_0000
-    } else {
-        0x5EED_0000
+    let profile = match chosen[..] {
+        [] => CLEAN,
+        [p] => p,
+        _ => {
+            let flags: Vec<&str> = PROFILES.iter().filter_map(|p| p.flag).collect();
+            return Err(format!("{} are mutually exclusive", flags.join(", ")));
+        }
     };
-    let seed_base = take_u64_flag(&mut args, "--seed-base", default_base);
-    let replay = if args.iter().any(|a| a == "--replay") {
-        Some(take_u64_flag(&mut args, "--replay", 0))
-    } else {
-        None
-    };
+    let seeds = take_u64_flag(&mut args, "--seeds")?;
+    let ops = take_u64_flag(&mut args, "--ops")?;
+    let seed_base = take_u64_flag(&mut args, "--seed-base")?;
+    let replay = take_u64_flag(&mut args, "--replay")?;
     let self_test = take_bool_flag(&mut args, "--self-test");
     if let Some(unknown) = args.first() {
-        eprintln!("fuzz: unknown argument '{unknown}'");
-        return 2;
+        return Err(format!("unknown argument '{unknown}'"));
     }
-
-    if tenant_storm {
-        return run_tenant_storm(seeds, seed_base, replay);
+    // Each mode takes only the flags it uses.
+    let ignored = [
+        (replay.is_some() && self_test, "--replay and --self-test"),
+        (replay.is_some() && seeds.is_some(), "--replay and --seeds"),
+        (
+            replay.is_some() && seed_base.is_some(),
+            "--replay and --seed-base",
+        ),
+        (self_test && seeds.is_some(), "--self-test and --seeds"),
+        (
+            self_test && profile.flag.is_some(),
+            "--self-test and a profile flag",
+        ),
+        (
+            ops.is_some() && matches!(profile.length, Length::Fixed(_)),
+            "--ops and a fixed-length profile",
+        ),
+    ];
+    if let Some((_, flags)) = ignored.iter().find(|(hit, _)| *hit) {
+        return Err(format!("{flags} do not combine"));
     }
-    if tier_chaos {
-        return run_tier_chaos(seeds, seed_base, replay, ops);
-    }
+    let seed_base = seed_base.unwrap_or(profile.seed_base);
+    let run = match (replay, self_test) {
+        (Some(seed), _) => FuzzRun::Replay(seed),
+        (None, true) => FuzzRun::SelfTest { seed_base },
+        (None, false) => FuzzRun::Sweep {
+            seeds: seeds.unwrap_or(256),
+            seed_base,
+        },
+    };
+    Ok((profile, run, ops.unwrap_or(4000)))
+}
 
-    // The fuzzer intentionally drives the substrate into panics and catches
-    // them; silence the default hook so expected unwinds don't spam stderr.
-    // Safe here: the harness binary is single-threaded.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-
-    let run_case = |seed, ops| {
-        if stress {
-            fuzz_one_stress(seed, ops)
-        } else if fault_storm {
-            fuzz_one_fault_storm(seed, ops)
-        } else if three_tier {
-            fuzz_one_three_tier(seed, ops)
-        } else {
-            fuzz_one(seed, ops)
+/// `harness fuzz [--seeds N] [--ops N] [--seed-base X] [--replay SEED]
+/// [--self-test] [--migration-stress] [--fault-storm] [--tenant-storm]
+/// [--three-tier] [--tier-chaos]`. Returns the process exit code: 2 on a
+/// usage error, 1 when a case fails or a counter the row names never moved.
+pub fn run_fuzz(args: Vec<String>) -> i32 {
+    let (profile, run, ops) = match parse_fuzz(args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("fuzz: {msg}");
+            return 2;
         }
     };
-    let profile = if stress {
-        "migration-stress "
-    } else if fault_storm {
-        "fault-storm "
-    } else if three_tier {
-        "three-tier "
-    } else {
-        ""
-    };
-    let code = if self_test {
-        run_self_test(seed_base, ops)
-    } else if let Some(seed) = replay {
-        match run_case(seed, ops) {
-            None => {
-                println!("replay seed {seed:#x}: clean ({ops} {profile}ops)");
+    // Substrate cases drive the substrate into panics on purpose and catch
+    // them; silence the default hook so expected unwinds don't spam stderr.
+    // Safe here: substrate cases run on the harness's one thread.
+    let saved_hook = matches!(profile.case, Case::Substrate { .. }).then(|| {
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        hook
+    });
+    let (len, unit) = profile.length.resolve(ops);
+    let code = match run {
+        FuzzRun::SelfTest { seed_base } => match self_test(seed_base, ops) {
+            Ok(shrunk) => {
+                let n = shrunk.ops.len();
+                println!("{shrunk}\nself-test: corruption caught and shrunk to {n} ops");
                 0
             }
-            Some(shrunk) => {
-                println!("{shrunk}");
+            Err(e) => {
+                eprintln!("self-test: {e}");
                 1
             }
-        }
-    } else {
-        let mut failures = 0u64;
-        for i in 0..seeds {
-            let seed = seed_base.wrapping_add(i);
-            if let Some(shrunk) = run_case(seed, ops) {
-                println!("{shrunk}");
-                failures += 1;
+        },
+        FuzzRun::Replay(seed) => {
+            let out = profile.run(seed, ops);
+            let verdict = if out.failure.is_some() {
+                "FAILED"
+            } else {
+                "clean"
+            };
+            println!(
+                "replay seed {seed:#x} ({}, {len} {unit}): {}, {} accesses{}; {verdict}",
+                profile.name,
+                out.summary,
+                out.accesses,
+                profile.describe(&out.counts)
+            );
+            if let Some(f) = &out.failure {
+                println!("{f}");
             }
+            i32::from(out.failure.is_some())
         }
-        if failures == 0 {
-            println!("fuzz: {seeds} {profile}seeds x {ops} ops, zero invariant violations");
-            0
-        } else {
-            eprintln!("fuzz: {failures} of {seeds} {profile}seeds FAILED");
-            1
+        FuzzRun::Sweep { seeds, seed_base } => {
+            let sweep = profile.sweep(seed_base, seeds, ops);
+            for f in &sweep.failures {
+                println!("{} {f}", profile.name);
+            }
+            let idle = profile.idle(&sweep.totals);
+            if !idle.is_empty() {
+                eprintln!("fuzz: {} sweep never exercised {idle:?}", profile.name);
+            }
+            if !sweep.failures.is_empty() {
+                let n = sweep.failures.len();
+                eprintln!("fuzz: {n} of {seeds} {} seeds FAILED", profile.name);
+            } else if idle.is_empty() {
+                println!(
+                    "fuzz: {seeds} {} seeds x {len} {unit}, zero invariant violations{}",
+                    profile.name,
+                    profile.describe(&sweep.totals)
+                );
+            }
+            i32::from(!sweep.failures.is_empty() || !idle.is_empty())
         }
     };
-    std::panic::set_hook(default_hook);
+    if let Some(hook) = saved_hook {
+        std::panic::set_hook(hook);
+    }
     code
 }
 
-/// The `--tenant-storm` profile: seeded multi-shard cases (4–8 tenants,
-/// mixed policies, skewed weights, a tight admission-slot pool, a canonical
-/// fault plan on one tenant) with the per-shard oracle plus the cross-shard
-/// invariants — global frame conservation, PFN exclusivity across tenants,
-/// per-tenant slot-flow conservation. Also asserts the admission-reject
-/// path actually fired somewhere in the batch: a sweep where no migration
-/// was ever rejected would mean the contention the profile exists to test
-/// never happened.
-fn run_tenant_storm(seeds: u64, seed_base: u64, replay: Option<u64>) -> i32 {
-    const STORM_MILLIS: u64 = 10;
-    if let Some(seed) = replay {
-        let r = tiering_verify::fuzz_one_tenant_storm(seed, STORM_MILLIS);
-        println!(
-            "replay seed {seed:#x}: {} tenants, {} threads, digest {:016x}, \
-             {} rejects, slot-gini {:.3}, {} violations",
-            r.tenants,
-            r.threads,
-            r.combined_digest,
-            r.backpressure_rejects,
-            r.slot_gini,
-            r.violations.len()
-        );
-        for v in &r.violations {
-            println!("  violation [{}] {}", v.invariant, v.detail);
-        }
-        return i32::from(!r.clean());
-    }
-    let mut failures = 0u64;
-    let mut rejects = 0u64;
-    for i in 0..seeds {
-        let seed = seed_base.wrapping_add(i);
-        let r = tiering_verify::fuzz_one_tenant_storm(seed, STORM_MILLIS);
-        rejects += r.backpressure_rejects;
-        if !r.clean() {
-            failures += 1;
-            println!("tenant-storm seed {seed:#x} FAILED:");
-            for v in &r.violations {
-                println!("  violation [{}] {}", v.invariant, v.detail);
-            }
-        }
-    }
-    if failures == 0 && rejects > 0 {
-        println!(
-            "fuzz: {seeds} tenant-storm seeds x {STORM_MILLIS} ms, zero invariant violations, \
-             {rejects} admission rejects exercised"
-        );
-        0
-    } else {
-        if rejects == 0 {
-            eprintln!("fuzz: tenant-storm sweep never exercised the admission-reject path");
-        }
-        if failures > 0 {
-            eprintln!("fuzz: {failures} of {seeds} tenant-storm seeds FAILED");
-        }
-        1
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// The `--tier-chaos` profile: seeded end-to-end three-tier policy runs
-/// under the `canonical3`/`storm3` tier failure-domain plans (degrade,
-/// offline with live evacuation, rejoin), with the invariant oracle —
-/// including the `tier_offline_residency` and `evac_flow` checks —
-/// attached to every scan period. The `--ops` knob maps onto simulated
-/// run length (200 ops ≈ 1 simulated ms, so the default 4000 runs each
-/// seed for 20 ms — long enough for the full offline/rejoin arc).
-///
-/// The sweep carries its own effectiveness self-test: across the batch,
-/// tier health transitions and evacuated pages must both be nonzero, or
-/// the chaos the profile exists to inject never actually happened and the
-/// "zero violations" headline would be vacuous.
-fn run_tier_chaos(seeds: u64, seed_base: u64, replay: Option<u64>, ops: usize) -> i32 {
-    // lint:allow(timestamp-cast) ops is a CLI op count, not a timestamp
-    let run_millis = ((ops as u64) / 200).max(5);
-    if let Some(seed) = replay {
-        let r = tiering_verify::fuzz_one_tier_chaos(seed, run_millis);
-        println!(
-            "replay seed {seed:#x}: policy {}, digest {:016x}, {} accesses, \
-             {} tier transitions, {} evacuated pages, {} violations",
-            r.policy,
-            r.digest,
-            r.accesses,
-            r.tier_health_transitions,
-            r.evacuated_pages,
-            r.violations.len()
-        );
-        for v in &r.violations {
-            println!("  violation [{}] {}", v.invariant, v.detail);
-        }
-        return i32::from(!r.clean());
+    fn fuzz(args: &str) -> i32 {
+        run_fuzz(args.split_whitespace().map(String::from).collect())
     }
-    let mut failures = 0u64;
-    let mut transitions = 0u64;
-    let mut evacuated = 0u64;
-    for i in 0..seeds {
-        let seed = seed_base.wrapping_add(i);
-        let r = tiering_verify::fuzz_one_tier_chaos(seed, run_millis);
-        transitions += r.tier_health_transitions;
-        evacuated += r.evacuated_pages;
-        if !r.clean() {
-            failures += 1;
-            println!("tier-chaos seed {seed:#x} ({}) FAILED:", r.policy);
-            for v in &r.violations {
-                println!("  violation [{}] {}", v.invariant, v.detail);
-            }
-        }
-    }
-    if failures == 0 && transitions > 0 && evacuated > 0 {
-        println!(
-            "fuzz: {seeds} tier-chaos seeds x {run_millis} ms, zero invariant violations, \
-             {transitions} tier transitions and {evacuated} evacuated pages exercised"
-        );
-        0
-    } else {
-        if transitions == 0 || evacuated == 0 {
-            eprintln!(
-                "fuzz: tier-chaos sweep never exercised the failure arc \
-                 ({transitions} transitions, {evacuated} evacuated)"
-            );
-        }
-        if failures > 0 {
-            eprintln!("fuzz: {failures} of {seeds} tier-chaos seeds FAILED");
-        }
-        1
-    }
-}
 
-/// Injects a known cross-mapping corruption into a generated schedule and
-/// checks the pipeline catches it and shrinks the reproduction to a handful
-/// of ops. Exercises the same path a real substrate bug would take.
-fn run_self_test(seed_base: u64, ops: usize) -> i32 {
-    // Find a base-page case shape (the injected op corrupts base mappings).
-    let seed = (0..64)
-        .map(|i| seed_base.wrapping_add(i))
-        .find(|&s| {
-            let cfg = CaseConfig::from_seed(s);
-            cfg.procs[0].1 == tiered_mem::PageSize::Base && cfg.procs[0].0 >= 2
-        })
-        .expect("some seed in any 64-window yields a base-page case");
-    let cfg = CaseConfig::from_seed(seed);
-    let mut schedule = generate_ops(&cfg, seed, ops.min(500));
-    schedule.push(FuzzOp::Access {
-        pid: 0,
-        vpn: 0,
-        write: false,
-    });
-    schedule.push(FuzzOp::Access {
-        pid: 0,
-        vpn: 1,
-        write: false,
-    });
-    schedule.push(FuzzOp::CorruptPfn {
-        pid: 0,
-        src: 0,
-        dst: 1,
-    });
-    let Some(shrunk) = tiering_verify::ops::fuzz_ops(seed, &cfg, schedule) else {
-        eprintln!("self-test: injected corruption was NOT caught");
-        return 1;
-    };
-    println!("{shrunk}");
-    if shrunk.ops.len() > 20 {
-        eprintln!(
-            "self-test: shrunk reproduction has {} ops (want <= 20)",
-            shrunk.ops.len()
-        );
-        return 1;
+    #[test]
+    fn fuzz_refuses_flags_it_would_ignore() {
+        for args in [
+            "--tenant-storm --self-test --seeds 2",
+            "--tier-chaos --self-test",
+            "--migration-stress --self-test",
+            "--self-test --replay 0x5eed0001",
+            "--self-test --seeds 4",
+            "--replay 0x5eed0001 --seeds 4",
+            "--replay 0x5eed0001 --seed-base 0x5eed0000",
+            "--tenant-storm --ops 99999",
+            "--tenant-storm --replay 0x7e4a0000 --ops 2000",
+            "--three-tier --fault-storm",
+            "--seeds",
+            "--ops many",
+            "--bogus",
+        ] {
+            assert_eq!(fuzz(args), 2, "harness fuzz {args}");
+        }
     }
-    println!(
-        "self-test: corruption caught and shrunk to {} ops",
-        shrunk.ops.len()
-    );
-    0
+
+    #[test]
+    fn fuzz_sweeps_replays_and_self_tests() {
+        assert_eq!(fuzz("--seeds 2 --ops 100"), 0);
+        assert_eq!(fuzz("--replay 0x5eed0001 --ops 100"), 0);
+        assert_eq!(fuzz("--self-test --ops 200"), 0);
+    }
 }

@@ -1,11 +1,11 @@
 //! Linux-style two-list (active/inactive) LRU with lazy deletion.
 //!
 //! List entries carry the page's `lru_stamp` at insertion time. Removing a
-//! page from the lists is O(1): bump the stamp in its [`PageEntry`]
-//! (crate::page::PageEntry) and any queued entries become stale, to be
-//! discarded when they surface. This mirrors how the simulator avoids the
-//! intrusive doubly-linked `struct page` lists of the kernel without changing
-//! eviction order.
+//! page from the lists is O(1): bump the stamp in its
+//! [`PageEntry`](crate::page::PageEntry) and any queued entries become
+//! stale, to be discarded when they surface. This mirrors how the simulator
+//! avoids the intrusive doubly-linked `struct page` lists of the kernel
+//! without changing eviction order.
 
 use std::collections::VecDeque;
 

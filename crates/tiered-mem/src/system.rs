@@ -1485,18 +1485,6 @@ impl TieredSystem {
         });
     }
 
-    /// Takes `frames` fast-tier frames out of service (hotplug shrink).
-    /// See [`TieredSystem::shrink_tier`].
-    pub fn shrink_fast(&mut self, frames: u32) -> u32 {
-        self.shrink_tier(TierId::FAST, frames)
-    }
-
-    /// Brings fast-tier capacity back (hotplug grow). See
-    /// [`TieredSystem::grow_tier`].
-    pub fn grow_fast(&mut self, frames: u32) -> u32 {
-        self.grow_tier(TierId::FAST, frames)
-    }
-
     /// Takes `frames` frames of `tier` out of service (hotplug shrink).
     /// Frames come out of the free pool; if the pool is short, the
     /// remainder becomes shrink debt retired as migrations free more
@@ -3229,7 +3217,7 @@ mod tests {
     }
 
     #[test]
-    fn shrink_fast_offlines_and_rescales_watermarks() {
+    fn fast_tier_shrink_offlines_and_rescales_watermarks() {
         let mut sys = small_sys();
         let pid = sys.add_process(32, PageSize::Base);
         for i in 0..32 {
@@ -3237,7 +3225,7 @@ mod tests {
         }
         assert_eq!(sys.total_frames(TierId::FAST), 64);
         let wm_before = sys.watermarks;
-        let got = sys.shrink_fast(16);
+        let got = sys.shrink_tier(TierId::FAST, 16);
         assert_eq!(got, 16);
         assert_eq!(sys.total_frames(TierId::FAST), 48);
         assert_eq!(sys.offlined_frames(TierId::FAST), 16);
@@ -3247,7 +3235,7 @@ mod tests {
         assert!(sys.watermarks.pro <= (48u32 / 4).max(sys.watermarks.high));
         let _ = wm_before;
         // Grow restores them and the usable size returns.
-        assert_eq!(sys.grow_fast(16), 16);
+        assert_eq!(sys.grow_tier(TierId::FAST, 16), 16);
         assert_eq!(sys.total_frames(TierId::FAST), 64);
         assert_eq!(sys.stats.restored_frames, 16);
     }
@@ -3260,7 +3248,7 @@ mod tests {
             sys.access(pid, Vpn(i), false);
         }
         // 56 fast frames used, 8 free; ask for more than the free pool.
-        let got = sys.shrink_fast(20);
+        let got = sys.shrink_tier(TierId::FAST, 20);
         assert_eq!(got, 8);
         assert_eq!(sys.shrink_debt(), 12);
         assert_eq!(sys.total_frames(TierId::FAST), 56);
@@ -3275,7 +3263,7 @@ mod tests {
         assert_eq!(sys.total_frames(TierId::FAST), 44);
         assert_eq!(sys.stats.offlined_frames, 20);
         // Grow first cancels debt, then restores offlined frames.
-        assert_eq!(sys.grow_fast(20), 20);
+        assert_eq!(sys.grow_tier(TierId::FAST, 20), 20);
         assert_eq!(sys.total_frames(TierId::FAST), 64);
     }
 

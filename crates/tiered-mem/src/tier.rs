@@ -145,7 +145,7 @@ pub struct TierSpec {
     /// Random-access service capacity in operations/second; beyond ~70 %
     /// utilization, queueing inflates latency (Optane's on-DIMM buffering
     /// collapses under random traffic — the saturation behaviour
-    /// characterized by Xiang et al. [82] that the paper's workloads hit).
+    /// characterized by Xiang et al. \[82\] that the paper's workloads hit).
     pub access_capacity_ops: u64,
     /// Device occupancy of a store relative to a load (Optane writes consume
     /// ~2.5× the device time of reads).

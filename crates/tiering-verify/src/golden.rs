@@ -20,7 +20,7 @@ use tiered_mem::FaultPlan;
 
 use crate::policy_fuzz::{run_policy_case, run_policy_case_with_plan, CHAIN_POLICIES};
 use crate::registry::{PolicyKind, Topology};
-use crate::sharded::{run_sharded_case, run_sharded_tier_chaos_case, SHARD_GOLDEN_TENANTS};
+use crate::sharded::{shard_tier_chaos_events, ShardedCase, SHARD_GOLDEN_TENANTS};
 
 /// The two canonical seeds snapshotted in the repository.
 pub const GOLDEN_SEEDS: [u64; 2] = [0xC4A0_0001, 0xC4A0_0002];
@@ -139,13 +139,13 @@ fn shard_table(seed: u64) -> String {
          admission on, {SHARD_GOLDEN_MILLIS} ms per policy\n"
     );
     for p in PolicyKind::FUZZED {
-        let r = run_sharded_case(p, seed, SHARD_GOLDEN_MILLIS, SHARD_GOLDEN_TENANTS, 1, true);
+        let r = ShardedCase::new(p, seed, SHARD_GOLDEN_MILLIS, SHARD_GOLDEN_TENANTS).run();
         assert!(
             r.clean(),
             "shard golden case {p:?}/{seed:#x} broke invariants: {:?}",
             r.violations
         );
-        out.push_str(&row(r.policy, r.combined_digest, r.accesses));
+        out.push_str(&row(p.id(), r.combined_digest, r.accesses));
         for d in &r.tenant_digests {
             out.push_str(&format!(" {d:016x}"));
         }
@@ -193,17 +193,21 @@ fn tier_chaos_table(seed: u64) -> String {
         PolicyKind::ChronoTwice,
         PolicyKind::ChronoFixed,
     ] {
-        let r = run_sharded_tier_chaos_case(p, seed, SHARD_GOLDEN_MILLIS, 1);
+        let r = ShardedCase {
+            tier_events: shard_tier_chaos_events(SHARD_GOLDEN_MILLIS),
+            ..ShardedCase::new(p, seed, SHARD_GOLDEN_MILLIS, SHARD_GOLDEN_TENANTS)
+        }
+        .run();
         assert!(
             r.clean(),
             "tier-chaos golden case {p:?}/{seed:#x} broke invariants: {:?}",
             r.violations
         );
         assert!(
-            r.tier_health_transitions > 0,
+            r.total(|s| s.stats.tier_health_transitions) > 0,
             "tier-chaos golden case {p:?}/{seed:#x} never failed a tier"
         );
-        out.push_str(&row(r.policy, r.combined_digest, r.accesses));
+        out.push_str(&row(p.id(), r.combined_digest, r.accesses));
         for d in &r.tenant_digests {
             out.push_str(&format!(" {d:016x}"));
         }

@@ -1,7 +1,7 @@
 //! Deterministic differential-fuzzing and invariant-oracle layer for the
 //! tiering substrate and every policy built on it.
 //!
-//! Five pieces, layered bottom-up:
+//! Six pieces, layered bottom-up:
 //!
 //! - [`oracle`]: the [`InvariantOracle`], a pure observer that sweeps a
 //!   [`tiered_mem::TieredSystem`] and reports every broken substrate
@@ -11,6 +11,8 @@
 //! - [`ops`] + [`shrink`]: a seeded op-schedule fuzzer over the raw
 //!   substrate. Failures shrink (ddmin) to a minimal replayable sequence
 //!   printed with its seed and case shape.
+//! - [`profile`]: the `harness fuzz` profiles as one [`FuzzProfile`] table
+//!   and the runner every row goes through.
 //! - [`registry`]: [`PolicyKind`], the one factory every named policy is
 //!   built through (harness figures and fleets, fuzz cases, goldens and the
 //!   benchmark), with its [`Scale`] and [`Topology`].
@@ -32,6 +34,7 @@ pub mod metamorphic;
 pub mod ops;
 pub mod oracle;
 pub mod policy_fuzz;
+pub mod profile;
 pub mod registry;
 pub mod sharded;
 pub mod shrink;
@@ -39,21 +42,15 @@ pub mod shrink;
 pub use golden::{
     bless_goldens, check_goldens, GoldenResult, GoldenStatus, FAULT_GOLDEN_SEED, GOLDEN_SEEDS,
 };
-pub use ops::{
-    fault_case_from_seed, fuzz_one, fuzz_one_fault_storm, fuzz_one_stress, fuzz_one_three_tier,
-    generate_fault_ops, generate_ops, generate_stress_ops, generate_three_tier_ops, run_case,
-    stress_case_from_seed, three_tier_case_from_seed, CaseConfig, FuzzOp, OpsFailure,
-    ShrunkFailure,
-};
+pub use ops::{run_case, CaseConfig, FuzzOp, Mix, OpsFailure, Shape, ShrunkFailure};
 pub use oracle::{InvariantOracle, Violation};
 pub use policy_fuzz::{
-    determinism_digests, fuzz_one_tier_chaos, run_policy_case, run_policy_case_with_plan,
+    determinism_digests, run_policy_case, run_policy_case_with_plan, tier_chaos_case,
     PolicyRunReport, CHAIN_POLICIES,
 };
+pub use profile::{CaseOutcome, FuzzProfile, CLEAN, PROFILES};
 pub use registry::{PolicyKind, Scale, Topology};
 pub use sharded::{
-    fuzz_one_tenant_storm, run_sharded_case, run_sharded_case_mixed, run_sharded_case_permuted,
-    run_sharded_case_with_plans, run_sharded_tier_chaos_case, shard_tier_chaos_events,
-    tenant_weights, ShardedCaseReport, SHARD_GOLDEN_TENANTS,
+    shard_tier_chaos_events, tenant_weights, ShardedCase, ShardedCaseReport, SHARD_GOLDEN_TENANTS,
 };
 pub use shrink::shrink_ops;

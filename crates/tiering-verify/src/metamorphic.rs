@@ -180,25 +180,15 @@ pub fn check_huge_base_accounting(seed: u64) -> Result<(), String> {
         },
         fault_plan: None,
     };
-    let ops = crate::ops::generate_ops(&cfg, seed ^ 0x40E6_BA5E, 1200);
-    match crate::ops::run_case(&cfg, &ops) {
-        Ok(()) => {}
-        Err(f) => return Err(format!("seed {seed:#x}: huge-page schedule failed: {f}")),
-    }
-    // Replay without the oracle to inspect the final accounting directly.
-    let mut sys = cfg.build();
-    for &op in &ops {
-        crate::ops::apply_op(&mut sys, op);
-    }
+    let ops = crate::profile::CLEAN_MIX.generate(&cfg, seed ^ 0x40E6_BA5E, 1200);
+    let sys = crate::ops::run_case(&cfg, &ops)
+        .map_err(|f| format!("seed {seed:#x}: huge-page schedule failed: {f}"))?;
     let moved = sys.stats.promoted_pages + sys.stats.demoted_pages;
     if sys.stats.migration_bytes != moved * BASE_PAGE_BYTES {
         return Err(format!(
             "seed {seed:#x}: migration_bytes {} != moved {} * {}",
             sys.stats.migration_bytes, moved, BASE_PAGE_BYTES
         ));
-    }
-    if let Some(v) = InvariantOracle::new().check(&sys).into_iter().next() {
-        return Err(format!("seed {seed:#x}: {v}"));
     }
 
     // With split ops filtered out the same system must move whole 512-page
@@ -209,10 +199,8 @@ pub fn check_huge_base_accounting(seed: u64) -> Result<(), String> {
         .copied()
         .filter(|op| !matches!(op, crate::ops::FuzzOp::Split { .. }))
         .collect();
-    let mut sys = cfg.build();
-    for &op in &unsplit {
-        crate::ops::apply_op(&mut sys, op);
-    }
+    let sys = crate::ops::run_case(&cfg, &unsplit)
+        .map_err(|f| format!("seed {seed:#x}: split-free schedule failed: {f}"))?;
     let moved = sys.stats.promoted_pages + sys.stats.demoted_pages;
     if !moved.is_multiple_of(u64::from(tiered_mem::HUGE_2M_PAGES)) {
         return Err(format!(

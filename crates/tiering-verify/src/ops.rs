@@ -1,7 +1,9 @@
 //! Seeded substrate op schedules: generation, execution, and replay.
 //!
 //! A fuzz case is a [`CaseConfig`] (system shape) plus a `Vec<FuzzOp>`
-//! derived from one 64-bit seed via [`sim_clock::DetRng`]. Execution rebuilds
+//! derived from one 64-bit seed via [`sim_clock::DetRng`]: a [`Shape`]
+//! derives the case and a weighted [`Mix`] the schedule, with the values
+//! each fuzz profile uses in [`crate::profile`]. Execution rebuilds
 //! the system from scratch each run, so any op prefix is exactly replayable:
 //! print the seed and the (possibly shrunk) op list and the failure
 //! reproduces anywhere.
@@ -135,7 +137,7 @@ pub enum FuzzOp {
         cost_x: u8,
     },
     /// Test-only corruption: alias `dst`'s PTE onto `src`'s frame without
-    /// telling the frame table. Never generated by [`generate_ops`]; the
+    /// telling the frame table. Never generated by [`Mix::generate`]; the
     /// self-test injects it to prove the oracle catches real accounting bugs
     /// and the shrinker isolates them.
     CorruptPfn {
@@ -169,57 +171,6 @@ pub struct CaseConfig {
 }
 
 impl CaseConfig {
-    /// Derives a case shape from a seed: mostly small base-page systems
-    /// (tight tiers, several processes) with an occasional huge-page case.
-    /// Total pages stay at most ~3/4 of total frames so demand paging can
-    /// never legitimately run out of memory — any OOM panic is a real bug.
-    pub fn from_seed(seed: u64) -> CaseConfig {
-        let mut rng = DetRng::seed(seed ^ 0xCA5E_CA5E_CA5E_CA5E);
-        if rng.chance(0.2) {
-            // Huge-page case: one process, 2 MiB granularity. The slow tier
-            // alone can hold every block so a 512-frame unit always fits.
-            // A single in-flight slot keeps reservations to one block, so
-            // the free pool stays >= 2 blocks and demand paging always finds
-            // a tier with a whole block free (pigeonhole over two tiers).
-            let blocks = 1 + rng.below(3) as u32;
-            let pages = blocks * HUGE_2M_PAGES;
-            CaseConfig {
-                fast_frames: HUGE_2M_PAGES * 2,
-                mid_frames: None,
-                slow_frames: pages + HUGE_2M_PAGES,
-                procs: vec![(pages, PageSize::Huge2M)],
-                migration: MigrationSpec {
-                    inflight_slots: 1,
-                    backlog_cap: Nanos::from_millis(10),
-                },
-                fault_plan: None,
-            }
-        } else {
-            let fast_frames = 32 << rng.below(3); // 32..128
-            let slow_frames = fast_frames * 8;
-            let nprocs = 1 + rng.below(3) as usize;
-            let budget = (fast_frames + slow_frames) * 3 / 4;
-            let per = (budget / nprocs as u32).max(8);
-            let procs = (0..nprocs)
-                .map(|_| (per / 2 + rng.below(per as u64 / 2) as u32, PageSize::Base))
-                .collect();
-            // Small slot counts exercise Backpressure; reservations stay
-            // within the 1/4-of-frames slack the page budget leaves free.
-            let migration = MigrationSpec {
-                inflight_slots: 1 + rng.below(8) as usize,
-                backlog_cap: Nanos::from_micros(1 + rng.below(5000)),
-            };
-            CaseConfig {
-                fast_frames,
-                mid_frames: None,
-                slow_frames,
-                procs,
-                migration,
-                fault_plan: None,
-            }
-        }
-    }
-
     /// Managed tiers in this case's chain.
     pub fn num_tiers(&self) -> usize {
         2 + usize::from(self.mid_frames.is_some())
@@ -240,7 +191,7 @@ impl CaseConfig {
         sys
     }
 
-    fn total_pages(&self, pid: u16) -> u32 {
+    pub(crate) fn total_pages(&self, pid: u16) -> u32 {
         let (pages, size) = self.procs[pid as usize];
         match size {
             PageSize::Base => pages,
@@ -249,300 +200,248 @@ impl CaseConfig {
     }
 }
 
-/// Generates `count` in-range ops for `cfg` from a seed. Accesses dominate
-/// (they drive demand paging); migrations, reclaim, LRU churn, watermark
-/// retunes and clock steps are sprinkled through. [`FuzzOp::CorruptPfn`] is
-/// never generated — corruption enters only via the self-test.
-pub fn generate_ops(cfg: &CaseConfig, seed: u64, count: usize) -> Vec<FuzzOp> {
-    let mut rng = DetRng::seed(seed);
-    let mut ops = Vec::with_capacity(count);
-    let nprocs = cfg.procs.len() as u64;
-    for _ in 0..count {
-        let pid = rng.below(nprocs) as u16;
-        let pages = cfg.total_pages(pid) as u64;
-        let vpn = rng.below(pages) as u32;
-        let roll = rng.below(100);
-        ops.push(match roll {
-            0..=64 => FuzzOp::Access {
-                pid,
-                vpn,
-                write: rng.chance(0.3),
-            },
-            65..=68 => FuzzOp::Migrate {
-                pid,
-                vpn,
-                to: u8::from(!rng.chance(0.5)),
-            },
-            69..=72 => FuzzOp::BeginMigrate {
-                pid,
-                vpn,
-                to: u8::from(!rng.chance(0.5)),
-            },
-            73..=78 => FuzzOp::PromoteReclaim { pid, vpn },
-            79..=82 => FuzzOp::SwapOut { pid, vpn },
-            83..=86 => FuzzOp::PopVictim {
-                tier: u8::from(!rng.chance(0.7)),
-            },
-            87..=89 => FuzzOp::AgeActive {
-                tier: 0,
-                budget: 1 + rng.below(16) as u8,
-            },
-            90..=93 => FuzzOp::LruMove {
-                pid,
-                vpn,
-                active: rng.chance(0.5),
-            },
-            94..=95 => FuzzOp::Split { pid, vpn },
-            96..=97 => FuzzOp::RetunePro {
-                rate_mib_per_sec: rng.below(512) as u16,
-            },
-            _ => FuzzOp::Advance {
-                micros: 1 + rng.below(10_000) as u32,
-            },
-        });
-    }
-    ops
-}
-
-/// Derives a migration-stress case: tiny in-flight slot counts and backlog
-/// caps so admission rejects constantly, paired with
-/// [`generate_stress_ops`]'s write-heavy schedules so in-flight transactions
-/// keep colliding with stores (the write-abort path) and with
-/// splits/swap-outs. Base-page shapes only — the point is churn, not size.
-pub fn stress_case_from_seed(seed: u64) -> CaseConfig {
-    let mut rng = DetRng::seed(seed ^ 0x57E5_57E5_57E5_57E5);
-    let fast_frames = 32 << rng.below(2); // 32..64
-    let slow_frames = fast_frames * 8;
-    let nprocs = 1 + rng.below(2) as usize;
-    let budget = (fast_frames + slow_frames) * 3 / 4;
-    let per = (budget / nprocs as u32).max(8);
-    let procs = (0..nprocs)
-        .map(|_| (per / 2 + rng.below(per as u64 / 2) as u32, PageSize::Base))
-        .collect();
-    CaseConfig {
-        fast_frames,
-        mid_frames: None,
-        slow_frames,
-        procs,
-        migration: MigrationSpec {
-            inflight_slots: 1 + rng.below(2) as usize, // 1..2
-            backlog_cap: Nanos::from_micros(1 + rng.below(50)),
-        },
-        fault_plan: None,
+/// The case line a failure report prints: the tier sizes (the middle tier
+/// only on a three-tier chain), the processes, and the fault plan when the
+/// case carries one.
+impl std::fmt::Display for CaseConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "fast {}", self.fast_frames)?;
+        if let Some(mid) = self.mid_frames {
+            write!(f, " mid {mid}")?;
+        }
+        write!(f, " slow {} procs {:?}", self.slow_frames, self.procs)?;
+        if let Some(plan) = &self.fault_plan {
+            write!(f, " fault plan {plan:?}")?;
+        }
+        Ok(())
     }
 }
 
-/// Derives a three-tier case: a DRAM+CXL+PMem chain whose bottom tier alone
-/// can hold every page, several base-page processes, and moderate in-flight
-/// bounds. Exercises the generalized per-tier oracle terms and both
-/// migration edges (plus the occasional tier-skipping hop the substrate
-/// also permits).
-pub fn three_tier_case_from_seed(seed: u64) -> CaseConfig {
-    let mut rng = DetRng::seed(seed ^ 0x37_1E_3A_5E_37_1E_3A_5E);
-    let fast_frames = 32 << rng.below(2); // 32..64
-    let mid_frames = fast_frames * 2;
-    let slow_frames = fast_frames * 8;
-    let nprocs = 1 + rng.below(3) as usize;
-    let budget = (fast_frames + mid_frames + slow_frames) * 3 / 4;
-    let per = (budget / nprocs as u32).max(8);
-    let procs = (0..nprocs)
-        .map(|_| (per / 2 + rng.below(per as u64 / 2) as u32, PageSize::Base))
-        .collect();
-    CaseConfig {
-        fast_frames,
-        mid_frames: Some(mid_frames),
-        slow_frames,
-        procs,
-        migration: MigrationSpec {
-            inflight_slots: 1 + rng.below(8) as usize,
-            backlog_cap: Nanos::from_micros(1 + rng.below(5000)),
-        },
-        fault_plan: None,
+/// How a profile derives a [`CaseConfig`] from a seed: mostly small
+/// base-page systems with tight tiers and several processes. The page
+/// budget stays well under the frame total, so demand paging can never
+/// legitimately run out of memory and any OOM panic is a real bug.
+#[derive(Debug, Clone, Copy)]
+pub struct Shape {
+    /// Xored into the seed before the first draw.
+    pub salt: u64,
+    /// Chance of a one-process 2 MiB case, drawn first (`None`: no draw).
+    pub huge: Option<f64>,
+    /// Fast-tier frames are `32 << below(fast_shifts)`.
+    pub fast_shifts: u64,
+    /// Middle-tier frames per fast frame (`None`: two tiers); slow is 8×.
+    pub mid_x: Option<u32>,
+    /// Processes are `1 + below(max_procs)`.
+    pub max_procs: u64,
+    /// Total pages as a fraction `(num, den)` of total frames.
+    pub budget: (u32, u32),
+    /// In-flight migration slots are `1 + below(max_slots)`.
+    pub max_slots: u64,
+    /// The migration backlog cap is `1 + below(max_backlog_us)` µs.
+    pub max_backlog_us: u64,
+    /// Attach [`FaultPlan::storm`] of the seed.
+    pub storm: bool,
+}
+
+impl Shape {
+    /// Derives the case for `seed`.
+    pub fn derive(&self, seed: u64) -> CaseConfig {
+        let mut rng = DetRng::seed(seed ^ self.salt);
+        if self.huge.is_some_and(|p| rng.chance(p)) {
+            // Huge-page case: one process, 2 MiB granularity. The slow tier
+            // alone can hold every block so a 512-frame unit always fits.
+            // A single in-flight slot keeps reservations to one block, so
+            // the free pool stays >= 2 blocks and demand paging always finds
+            // a tier with a whole block free (pigeonhole over two tiers).
+            let pages = (1 + rng.below(3) as u32) * HUGE_2M_PAGES;
+            return CaseConfig {
+                fast_frames: HUGE_2M_PAGES * 2,
+                mid_frames: None,
+                slow_frames: pages + HUGE_2M_PAGES,
+                procs: vec![(pages, PageSize::Huge2M)],
+                migration: MigrationSpec {
+                    inflight_slots: 1,
+                    backlog_cap: Nanos::from_millis(10),
+                },
+                fault_plan: None,
+            };
+        }
+        let fast_frames = 32 << rng.below(self.fast_shifts);
+        let mid_frames = self.mid_x.map(|x| fast_frames * x);
+        let slow_frames = fast_frames * 8;
+        let nprocs = 1 + rng.below(self.max_procs) as usize;
+        let (num, den) = self.budget;
+        let budget = (fast_frames + mid_frames.unwrap_or(0) + slow_frames) * num / den;
+        let per = (budget / nprocs as u32).max(8);
+        let procs = (0..nprocs)
+            .map(|_| (per / 2 + rng.below(per as u64 / 2) as u32, PageSize::Base))
+            .collect();
+        // Small slot counts exercise Backpressure; reservations stay within
+        // the slack the page budget leaves free.
+        let migration = MigrationSpec {
+            inflight_slots: 1 + rng.below(self.max_slots) as usize,
+            backlog_cap: Nanos::from_micros(1 + rng.below(self.max_backlog_us)),
+        };
+        CaseConfig {
+            fast_frames,
+            mid_frames,
+            slow_frames,
+            procs,
+            migration,
+            fault_plan: self.storm.then(|| FaultPlan::storm(seed)),
+        }
     }
 }
 
-/// Generates a schedule for the three-tier profile: the clean mix with every
-/// tier-carrying op drawing its tier uniformly from the case's chain, so
-/// both edges (and direct two-hop moves) appear, reclaim pops and LRU aging
-/// hit all three tiers, and degradation windows cover each copy channel.
-pub fn generate_three_tier_ops(cfg: &CaseConfig, seed: u64, count: usize) -> Vec<FuzzOp> {
-    let tiers = cfg.num_tiers() as u64;
-    let mut rng = DetRng::seed(seed ^ 0x7513_7513_7513_7513);
-    let mut ops = Vec::with_capacity(count);
-    let nprocs = cfg.procs.len() as u64;
-    for _ in 0..count {
-        let pid = rng.below(nprocs) as u16;
-        let pages = cfg.total_pages(pid) as u64;
-        let vpn = rng.below(pages) as u32;
-        let roll = rng.below(100);
-        ops.push(match roll {
-            0..=64 => FuzzOp::Access {
-                pid,
-                vpn,
-                write: rng.chance(0.3),
-            },
-            65..=68 => FuzzOp::Migrate {
-                pid,
-                vpn,
-                to: rng.below(tiers) as u8,
-            },
-            69..=72 => FuzzOp::BeginMigrate {
-                pid,
-                vpn,
-                to: rng.below(tiers) as u8,
-            },
-            73..=78 => FuzzOp::PromoteReclaim { pid, vpn },
-            79..=82 => FuzzOp::SwapOut { pid, vpn },
-            83..=86 => FuzzOp::PopVictim {
-                tier: rng.below(tiers) as u8,
-            },
-            87..=89 => FuzzOp::AgeActive {
-                tier: rng.below(tiers) as u8,
-                budget: 1 + rng.below(16) as u8,
-            },
-            90..=93 => FuzzOp::LruMove {
-                pid,
-                vpn,
-                active: rng.chance(0.5),
-            },
-            94..=95 => FuzzOp::Degrade {
-                tier: rng.below(tiers) as u8,
-                micros: 1 + rng.below(2000) as u16,
-                cost_x: 2 + rng.below(6) as u8,
-            },
-            96..=97 => FuzzOp::RetunePro {
-                rate_mib_per_sec: rng.below(512) as u16,
-            },
-            _ => FuzzOp::Advance {
-                micros: 1 + rng.below(10_000) as u32,
-            },
-        });
-    }
-    ops
+/// How an op draws its destination or target tier.
+#[derive(Debug, Clone, Copy)]
+pub enum TierDraw {
+    /// Tier 0, without a draw.
+    Fast,
+    /// Tier 0 with the given probability, else tier 1.
+    Coin(f64),
+    /// Uniform over the case's chain.
+    Any,
 }
 
-/// Derives a fault-storm case: a base-page shape whose slow tier alone can
-/// hold every page (so capacity loss to quarantine, shrink, and poisoning
-/// can never OOM demand paging), with a high-rate [`FaultPlan::storm`]
-/// attached so due migration copies fail constantly.
-pub fn fault_case_from_seed(seed: u64) -> CaseConfig {
-    let mut rng = DetRng::seed(seed ^ 0xFA17_FA17_FA17_FA17);
-    let fast_frames = 32 << rng.below(3); // 32..128
-    let slow_frames = fast_frames * 8;
-    let nprocs = 1 + rng.below(2) as usize;
-    // Half of total ≈ 4.5× fast: fits in the slow tier with room to spare
-    // even if the whole fast tier were lost to faults.
-    let budget = (fast_frames + slow_frames) / 2;
-    let per = (budget / nprocs as u32).max(8);
-    let procs = (0..nprocs)
-        .map(|_| (per / 2 + rng.below(per as u64 / 2) as u32, PageSize::Base))
-        .collect();
-    CaseConfig {
-        fast_frames,
-        mid_frames: None,
-        slow_frames,
-        procs,
-        migration: MigrationSpec {
-            inflight_slots: 1 + rng.below(4) as usize,
-            backlog_cap: Nanos::from_micros(1 + rng.below(500)),
-        },
-        fault_plan: Some(FaultPlan::storm(seed)),
+impl TierDraw {
+    fn draw(self, rng: &mut DetRng, tiers: u64) -> u8 {
+        match self {
+            TierDraw::Fast => 0,
+            TierDraw::Coin(p) => u8::from(!rng.chance(p)),
+            TierDraw::Any => rng.below(tiers) as u8,
+        }
     }
 }
 
-/// Generates a schedule for the fault-storm profile: the clean mix plus
-/// frame poisonings, hotplug shrink/grow, and channel-degradation windows.
-/// Cumulative explicit shrink stays at most a quarter of the fast tier so
-/// capacity churn cannot starve the case's page budget.
-pub fn generate_fault_ops(cfg: &CaseConfig, seed: u64, count: usize) -> Vec<FuzzOp> {
-    let mut rng = DetRng::seed(seed ^ 0x5708_4EED_5708_4EED);
-    let mut ops = Vec::with_capacity(count);
-    let nprocs = cfg.procs.len() as u64;
-    let shrink_cap = cfg.fast_frames / 4;
-    let mut shrunk = 0u32;
-    for _ in 0..count {
-        let pid = rng.below(nprocs) as u16;
-        let pages = cfg.total_pages(pid) as u64;
-        let vpn = rng.below(pages) as u32;
-        let roll = rng.below(100);
-        ops.push(match roll {
-            0..=49 => FuzzOp::Access {
-                pid,
-                vpn,
-                write: rng.chance(0.4),
-            },
-            50..=57 => FuzzOp::BeginMigrate {
-                pid,
-                vpn,
-                to: u8::from(!rng.chance(0.5)),
-            },
-            58..=63 => FuzzOp::PromoteReclaim { pid, vpn },
-            64..=67 => FuzzOp::SwapOut { pid, vpn },
-            68..=73 => FuzzOp::PoisonFrame { pid, vpn },
-            74..=77 => {
-                let frames = 1 + rng.below(4) as u8;
-                if shrunk + frames as u32 <= shrink_cap {
-                    shrunk += frames as u32;
-                    FuzzOp::ShrinkFast { frames }
-                } else {
-                    FuzzOp::GrowFast { frames }
+/// One arm of an op mix: the op it emits and how that op's arguments are
+/// drawn. Ops that take a page use the pid and vpn every roll draws first.
+#[derive(Debug, Clone, Copy)]
+pub enum Arm {
+    /// [`FuzzOp::Access`], a store with the given probability.
+    Access(f64),
+    /// [`FuzzOp::Migrate`] to a drawn tier.
+    Migrate(TierDraw),
+    /// [`FuzzOp::BeginMigrate`] to a drawn tier.
+    BeginMigrate(TierDraw),
+    /// [`FuzzOp::PromoteReclaim`].
+    PromoteReclaim,
+    /// [`FuzzOp::SwapOut`].
+    SwapOut,
+    /// [`FuzzOp::PopVictim`] from a drawn tier.
+    PopVictim(TierDraw),
+    /// [`FuzzOp::AgeActive`] on a drawn tier, budget `1..=16`.
+    AgeActive(TierDraw),
+    /// [`FuzzOp::LruMove`] onto a coin-flipped list.
+    LruMove,
+    /// [`FuzzOp::Split`].
+    Split,
+    /// [`FuzzOp::RetunePro`] to a rate below 512 MiB/s.
+    RetunePro,
+    /// [`FuzzOp::Advance`] by up to the given number of µs.
+    Advance(u64),
+    /// [`FuzzOp::PoisonFrame`].
+    PoisonFrame,
+    /// [`FuzzOp::ShrinkFast`] by `1..=4` frames while the schedule's
+    /// cumulative shrink stays within a quarter of the fast tier, so
+    /// capacity churn cannot starve the page budget; [`FuzzOp::GrowFast`]
+    /// by the same count past that.
+    ShrinkOrGrow,
+    /// [`FuzzOp::GrowFast`] by `1..=4` frames.
+    GrowFast,
+    /// [`FuzzOp::Degrade`] of a drawn tier for `1..=2000` µs at 2–7× cost.
+    Degrade(TierDraw),
+}
+
+/// A weighted op mix: each op draws a pid, a vpn and a roll in `0..100`,
+/// and the roll picks the arm that draws the op's arguments.
+/// [`FuzzOp::CorruptPfn`] is never generated — corruption enters only via
+/// the self-test.
+#[derive(Debug, Clone, Copy)]
+pub struct Mix {
+    /// Xored into the seed before the first draw.
+    pub salt: u64,
+    /// `(last roll, arm)` in roll order: a roll picks the first arm whose
+    /// last roll is at least the roll. The final entry ends at 99.
+    pub arms: &'static [(u64, Arm)],
+}
+
+impl Mix {
+    /// Generates `count` in-range ops for `cfg` from a seed.
+    pub fn generate(&self, cfg: &CaseConfig, seed: u64, count: usize) -> Vec<FuzzOp> {
+        let mut rng = DetRng::seed(seed ^ self.salt);
+        let tiers = cfg.num_tiers() as u64;
+        let nprocs = cfg.procs.len() as u64;
+        let shrink_cap = cfg.fast_frames / 4;
+        let mut shrunk = 0u32;
+        let mut op = || {
+            let pid = rng.below(nprocs) as u16;
+            let vpn = rng.below(cfg.total_pages(pid) as u64) as u32;
+            let roll = rng.below(100);
+            let &(_, arm) = self
+                .arms
+                .iter()
+                .find(|&&(last, _)| roll <= last)
+                .expect("a mix's arms cover every roll");
+            match arm {
+                Arm::Access(write) => FuzzOp::Access {
+                    pid,
+                    vpn,
+                    write: rng.chance(write),
+                },
+                Arm::Migrate(t) => FuzzOp::Migrate {
+                    pid,
+                    vpn,
+                    to: t.draw(&mut rng, tiers),
+                },
+                Arm::BeginMigrate(t) => FuzzOp::BeginMigrate {
+                    pid,
+                    vpn,
+                    to: t.draw(&mut rng, tiers),
+                },
+                Arm::PromoteReclaim => FuzzOp::PromoteReclaim { pid, vpn },
+                Arm::SwapOut => FuzzOp::SwapOut { pid, vpn },
+                Arm::PopVictim(t) => FuzzOp::PopVictim {
+                    tier: t.draw(&mut rng, tiers),
+                },
+                Arm::AgeActive(t) => FuzzOp::AgeActive {
+                    tier: t.draw(&mut rng, tiers),
+                    budget: 1 + rng.below(16) as u8,
+                },
+                Arm::LruMove => FuzzOp::LruMove {
+                    pid,
+                    vpn,
+                    active: rng.chance(0.5),
+                },
+                Arm::Split => FuzzOp::Split { pid, vpn },
+                Arm::RetunePro => FuzzOp::RetunePro {
+                    rate_mib_per_sec: rng.below(512) as u16,
+                },
+                Arm::Advance(longest) => FuzzOp::Advance {
+                    micros: 1 + rng.below(longest) as u32,
+                },
+                Arm::PoisonFrame => FuzzOp::PoisonFrame { pid, vpn },
+                Arm::ShrinkOrGrow => {
+                    let frames = 1 + rng.below(4) as u8;
+                    if shrunk + frames as u32 <= shrink_cap {
+                        shrunk += frames as u32;
+                        FuzzOp::ShrinkFast { frames }
+                    } else {
+                        FuzzOp::GrowFast { frames }
+                    }
                 }
+                Arm::GrowFast => FuzzOp::GrowFast {
+                    frames: 1 + rng.below(4) as u8,
+                },
+                Arm::Degrade(t) => FuzzOp::Degrade {
+                    tier: t.draw(&mut rng, tiers),
+                    micros: 1 + rng.below(2000) as u16,
+                    cost_x: 2 + rng.below(6) as u8,
+                },
             }
-            78..=81 => FuzzOp::GrowFast {
-                frames: 1 + rng.below(4) as u8,
-            },
-            82..=85 => FuzzOp::Degrade {
-                tier: u8::from(!rng.chance(0.6)),
-                micros: 1 + rng.below(2000) as u16,
-                cost_x: 2 + rng.below(6) as u8,
-            },
-            86..=88 => FuzzOp::Migrate {
-                pid,
-                vpn,
-                to: u8::from(!rng.chance(0.5)),
-            },
-            _ => FuzzOp::Advance {
-                micros: 1 + rng.below(5_000) as u32,
-            },
-        });
+        };
+        (0..count).map(|_| op()).collect()
     }
-    ops
-}
-
-/// Generates a write-heavy schedule for the migration-stress profile:
-/// two-phase begins dominate the migration mix, stores are the majority of
-/// accesses (so in-flight units get written), and clock steps are short so
-/// completions interleave tightly with the churn instead of draining the
-/// table between ops.
-pub fn generate_stress_ops(cfg: &CaseConfig, seed: u64, count: usize) -> Vec<FuzzOp> {
-    let mut rng = DetRng::seed(seed ^ 0x0B5E_55ED_0B5E_55ED);
-    let mut ops = Vec::with_capacity(count);
-    let nprocs = cfg.procs.len() as u64;
-    for _ in 0..count {
-        let pid = rng.below(nprocs) as u16;
-        let pages = cfg.total_pages(pid) as u64;
-        let vpn = rng.below(pages) as u32;
-        let roll = rng.below(100);
-        ops.push(match roll {
-            0..=49 => FuzzOp::Access {
-                pid,
-                vpn,
-                write: rng.chance(0.7),
-            },
-            50..=74 => FuzzOp::BeginMigrate {
-                pid,
-                vpn,
-                to: u8::from(!rng.chance(0.5)),
-            },
-            75..=79 => FuzzOp::PromoteReclaim { pid, vpn },
-            80..=83 => FuzzOp::SwapOut { pid, vpn },
-            84..=87 => FuzzOp::Split { pid, vpn },
-            _ => FuzzOp::Advance {
-                micros: 1 + rng.below(20) as u32,
-            },
-        });
-    }
-    ops
 }
 
 /// Applies one op to the system. Mechanism-level `Err` returns (not present,
@@ -616,10 +515,10 @@ pub fn apply_op(sys: &mut TieredSystem, op: FuzzOp) {
             }
         }
         FuzzOp::ShrinkFast { frames } => {
-            sys.shrink_fast(frames as u32);
+            sys.shrink_tier(TierId::FAST, frames as u32);
         }
         FuzzOp::GrowFast { frames } => {
-            sys.grow_fast(frames as u32);
+            sys.grow_tier(TierId::FAST, frames as u32);
         }
         FuzzOp::Degrade {
             tier,
@@ -677,8 +576,9 @@ impl std::fmt::Display for OpsFailure {
 /// Runs a schedule against a fresh system built from `cfg`, checking every
 /// invariant after every op. Substrate panics (e.g. a frame-table double
 /// free) are caught and reported as failures too, so the shrinker can
-/// minimize panicking schedules. Returns the first failure, if any.
-pub fn run_case(cfg: &CaseConfig, ops: &[FuzzOp]) -> Result<(), OpsFailure> {
+/// minimize panicking schedules. Returns the first failure, or the final
+/// system when every op passed.
+pub fn run_case(cfg: &CaseConfig, ops: &[FuzzOp]) -> Result<TieredSystem, OpsFailure> {
     // The closure owns everything it touches, so unwinding cannot leave
     // observable broken state (the system is dropped either way).
     let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -696,7 +596,7 @@ pub fn run_case(cfg: &CaseConfig, ops: &[FuzzOp]) -> Result<(), OpsFailure> {
                 });
             }
         }
-        Ok(())
+        Ok(sys)
     }));
     match caught {
         Ok(r) => r,
@@ -714,15 +614,6 @@ pub fn run_case(cfg: &CaseConfig, ops: &[FuzzOp]) -> Result<(), OpsFailure> {
             })
         }
     }
-}
-
-/// Renders a schedule as a replayable listing, one op per line.
-pub fn format_ops(ops: &[FuzzOp]) -> String {
-    let mut out = String::new();
-    for (i, op) in ops.iter().enumerate() {
-        out.push_str(&format!("  [{i:4}] {op:?}\n"));
-    }
-    out
 }
 
 /// A fuzz failure shrunk to a minimal reproducing schedule.
@@ -749,62 +640,26 @@ impl std::fmt::Display for ShrunkFailure {
             self.original_len,
             self.ops.len()
         )?;
-        writeln!(
-            f,
-            "  config: fast {} slow {} procs {:?}",
-            self.config.fast_frames, self.config.slow_frames, self.config.procs
-        )?;
+        writeln!(f, "  config: {}", self.config)?;
         writeln!(f, "  {}", self.failure)?;
-        write!(f, "{}", format_ops(&self.ops))
+        for (i, op) in self.ops.iter().enumerate() {
+            writeln!(f, "  [{i:4}] {op:?}")?;
+        }
+        Ok(())
     }
 }
 
-/// Fuzzes one seed: derive a case, generate `count` ops, run, and on failure
-/// shrink to a minimal schedule. `None` means the seed passed.
-pub fn fuzz_one(seed: u64, count: usize) -> Option<ShrunkFailure> {
-    let cfg = CaseConfig::from_seed(seed);
-    let ops = generate_ops(&cfg, seed, count);
-    fuzz_ops(seed, &cfg, ops)
-}
-
-/// Fuzzes one seed under the migration-stress profile: a tiny-slot case and
-/// a write-heavy schedule ([`stress_case_from_seed`] +
-/// [`generate_stress_ops`]). `None` means the seed passed.
-pub fn fuzz_one_stress(seed: u64, count: usize) -> Option<ShrunkFailure> {
-    let cfg = stress_case_from_seed(seed);
-    let ops = generate_stress_ops(&cfg, seed, count);
-    fuzz_ops(seed, &cfg, ops)
-}
-
-/// Fuzzes one seed under the fault-storm profile: a fault-plan-carrying
-/// case ([`fault_case_from_seed`]) and a schedule mixing poisonings,
-/// hotplug churn, and degradation windows into the clean op mix
-/// ([`generate_fault_ops`]). `None` means the seed passed.
-pub fn fuzz_one_fault_storm(seed: u64, count: usize) -> Option<ShrunkFailure> {
-    let cfg = fault_case_from_seed(seed);
-    let ops = generate_fault_ops(&cfg, seed, count);
-    fuzz_ops(seed, &cfg, ops)
-}
-
-/// Fuzzes one seed under the three-tier profile: a DRAM+CXL+PMem case
-/// ([`three_tier_case_from_seed`]) and a tier-uniform schedule
-/// ([`generate_three_tier_ops`]) checked against the generalized per-tier
-/// oracle. `None` means the seed passed.
-pub fn fuzz_one_three_tier(seed: u64, count: usize) -> Option<ShrunkFailure> {
-    let cfg = three_tier_case_from_seed(seed);
-    let ops = generate_three_tier_ops(&cfg, seed, count);
-    fuzz_ops(seed, &cfg, ops)
-}
-
-/// Runs and (on failure) shrinks an explicit schedule. Used by [`fuzz_one`]
-/// and by the self-test, which appends an injected corruption op.
+/// Runs and (on failure) shrinks an explicit schedule. Used by the profile
+/// runner and by the self-test, which appends an injected corruption op.
 pub fn fuzz_ops(seed: u64, cfg: &CaseConfig, ops: Vec<FuzzOp>) -> Option<ShrunkFailure> {
     if run_case(cfg, &ops).is_ok() {
         return None;
     }
     let original_len = ops.len();
     let minimal = crate::shrink::shrink_ops(&ops, |candidate| run_case(cfg, candidate).is_err());
-    let failure = run_case(cfg, &minimal).expect_err("shrinker must preserve failure");
+    let failure = run_case(cfg, &minimal)
+        .err()
+        .expect("shrinker must preserve failure");
     Some(ShrunkFailure {
         seed,
         original_len,
@@ -819,184 +674,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn case_shapes_are_deterministic_and_bounded() {
-        for seed in 0..64u64 {
-            let a = CaseConfig::from_seed(seed);
-            let b = CaseConfig::from_seed(seed);
-            assert_eq!(a.fast_frames, b.fast_frames);
-            assert_eq!(a.procs, b.procs);
-            let total_pages: u32 = (0..a.procs.len() as u16).map(|p| a.total_pages(p)).sum();
-            assert!(
-                total_pages <= a.fast_frames + a.slow_frames,
-                "seed {seed}: {total_pages} pages > {} frames",
-                a.fast_frames + a.slow_frames
-            );
-        }
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let cfg = CaseConfig::from_seed(1);
-        assert_eq!(generate_ops(&cfg, 1, 500), generate_ops(&cfg, 1, 500));
-        assert_ne!(generate_ops(&cfg, 1, 500), generate_ops(&cfg, 2, 500));
-    }
-
-    #[test]
-    fn clean_schedules_pass() {
-        for seed in 0..8u64 {
-            let cfg = CaseConfig::from_seed(seed);
-            let ops = generate_ops(&cfg, seed, 400);
-            if let Err(f) = run_case(&cfg, &ops) {
-                panic!("seed {seed} failed: {f}");
-            }
-        }
-    }
-
-    #[test]
-    fn stress_schedules_pass() {
-        for seed in 0..4u64 {
-            let cfg = stress_case_from_seed(seed);
-            assert!(cfg.migration.inflight_slots <= 2);
-            let ops = generate_stress_ops(&cfg, seed, 400);
-            if let Err(f) = run_case(&cfg, &ops) {
-                panic!("stress seed {seed} failed: {f}");
-            }
-        }
-    }
-
-    #[test]
-    fn stress_schedules_exercise_aborts_and_backpressure() {
-        // The profile's whole point: across a handful of seeds the write-heavy
-        // schedules must actually hit the write-abort and admission-reject
-        // paths, not just pass vacuously.
-        let mut aborted = 0u64;
-        let mut backpressured = 0u64;
-        for seed in 0..4u64 {
-            let cfg = stress_case_from_seed(seed);
-            let ops = generate_stress_ops(&cfg, seed, 400);
-            let mut sys = cfg.build();
-            for &op in &ops {
-                apply_op(&mut sys, op);
-            }
-            aborted += sys.stats.aborted_migrations;
-            backpressured +=
-                sys.stats.failed_fast_migrations[tiered_mem::MigrateError::Backpressure.index()];
-        }
-        assert!(aborted > 0, "no write-aborts across stress seeds");
-        assert!(
-            backpressured > 0,
-            "no backpressure rejects across stress seeds"
-        );
-    }
-
-    #[test]
-    fn three_tier_schedules_pass() {
-        for seed in 0..4u64 {
-            let cfg = three_tier_case_from_seed(seed);
-            assert_eq!(cfg.num_tiers(), 3);
-            let ops = generate_three_tier_ops(&cfg, seed, 400);
-            if let Err(f) = run_case(&cfg, &ops) {
-                panic!("three-tier seed {seed} failed: {f}");
-            }
-        }
-    }
-
-    #[test]
-    fn three_tier_schedules_exercise_every_tier() {
-        // The profile must actually route migrations at and out of the
-        // middle tier, not just pass vacuously on a fat two-tier subset.
-        let mut mid_used = false;
-        let mut hit_tiers = [false; 3];
-        for seed in 0..4u64 {
-            let cfg = three_tier_case_from_seed(seed);
-            let ops = generate_three_tier_ops(&cfg, seed, 400);
-            let mut sys = cfg.build();
-            for &op in &ops {
-                apply_op(&mut sys, op);
-            }
-            for t in 0..3u8 {
-                if sys.used_frames(TierId(t)) > 0 {
-                    hit_tiers[t as usize] = true;
-                }
-            }
-            mid_used |= sys.used_frames(TierId(1)) > 0;
-        }
-        assert!(mid_used, "middle tier never held a page");
-        assert_eq!(hit_tiers, [true; 3], "some tier never used: {hit_tiers:?}");
-    }
-
-    #[test]
-    fn fault_storm_schedules_pass() {
-        for seed in 0..4u64 {
-            let cfg = fault_case_from_seed(seed);
-            assert!(cfg.fault_plan.is_some());
-            let ops = generate_fault_ops(&cfg, seed, 400);
-            if let Err(f) = run_case(&cfg, &ops) {
-                panic!("fault-storm seed {seed} failed: {f}");
-            }
-        }
-    }
-
-    #[test]
-    fn fault_storm_exercises_fault_machinery() {
-        // Effectiveness self-test: across a few seeds the storm must
-        // actually drive every fault class — quarantined frames (poison),
-        // offlined frames (hotplug shrink), copy-fault rejections from the
-        // plan's dice — not merely survive with the machinery idle.
-        let mut quarantined = 0u64;
-        let mut offlined = 0u64;
-        let mut copy_faults = 0u64;
-        let mut restored = 0u64;
-        for seed in 0..4u64 {
-            let cfg = fault_case_from_seed(seed);
-            let ops = generate_fault_ops(&cfg, seed, 400);
-            let mut sys = cfg.build();
-            for &op in &ops {
-                apply_op(&mut sys, op);
-            }
-            quarantined += sys.stats.quarantined_frames;
-            offlined += sys.stats.offlined_frames;
-            restored += sys.stats.restored_frames;
-            copy_faults +=
-                sys.stats.failed_fast_migrations[tiered_mem::MigrateError::CopyFault.index()];
-        }
-        assert!(quarantined > 0, "no frames quarantined across storm seeds");
-        assert!(offlined > 0, "no hotplug shrink took effect");
-        assert!(restored > 0, "no hotplug grow took effect");
-        assert!(copy_faults > 0, "no transient copy faults fired");
-    }
-
-    #[test]
-    fn injected_corruption_is_caught_and_shrunk_small() {
-        // A base-page seed (from_seed(0) is base-paged for this derivation;
-        // the assert guards against silent drift of the shape stream).
-        let cfg = CaseConfig::from_seed(0);
-        assert_eq!(cfg.procs[0].1, PageSize::Base);
-        let mut ops = generate_ops(&cfg, 0, 300);
-        for vpn in [0, 1] {
-            ops.push(FuzzOp::Access {
-                pid: 0,
-                vpn,
-                write: false,
-            });
-        }
-        ops.push(FuzzOp::CorruptPfn {
-            pid: 0,
-            src: 0,
-            dst: 1,
-        });
-        let shrunk = fuzz_ops(0, &cfg, ops).expect("corruption must be caught");
-        assert!(
-            shrunk.ops.len() <= 20,
-            "expected a tight repro, got {} ops:\n{shrunk}",
-            shrunk.ops.len()
-        );
-        assert!(shrunk
-            .failure
-            .violations
-            .iter()
-            .any(|v| v.invariant == "pfn_exclusive" || v.invariant == "reverse_map"));
-        // The minimal schedule must still be replayable as printed.
-        assert!(run_case(&shrunk.config, &shrunk.ops).is_err());
+    fn case_line_names_the_middle_tier_and_fault_plan() {
+        let mut cfg = crate::profile::CLEAN.schedule(0, 0).unwrap().0;
+        assert!(!cfg.to_string().contains("mid") && !cfg.to_string().contains("fault"));
+        cfg.mid_frames = Some(96);
+        cfg.fault_plan = Some(FaultPlan::storm(7));
+        let line = cfg.to_string();
+        assert!(line.contains(" mid 96 slow "), "{line}");
+        assert!(line.contains("fault plan FaultPlan { seed: 7"), "{line}");
     }
 }

@@ -781,9 +781,9 @@ mod tests {
         let bad = sys.process(pid).space.entry(Vpn(3)).pfn;
         assert!(sys.poison_frame(TierId::FAST, bad));
         oracle.assert_clean(&sys, "after poison + soft-offline");
-        sys.shrink_fast(8);
+        sys.shrink_tier(TierId::FAST, 8);
         oracle.assert_clean(&sys, "after shrink");
-        sys.grow_fast(8);
+        sys.grow_tier(TierId::FAST, 8);
         oracle.assert_clean(&sys, "after grow");
     }
 
@@ -806,7 +806,7 @@ mod tests {
     #[test]
     fn offline_flow_skew_is_caught() {
         let (mut sys, _) = small_sys();
-        sys.shrink_fast(4);
+        sys.shrink_tier(TierId::FAST, 4);
         sys.stats.restored_frames += 2; // claim restores that never happened
         let violations = InvariantOracle::new().check(&sys);
         assert!(

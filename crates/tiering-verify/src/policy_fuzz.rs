@@ -17,27 +17,21 @@ use crate::registry::{PolicyKind, Scale, Topology};
 pub const CHAIN_POLICIES: [PolicyKind; 2] = [PolicyKind::Chrono, PolicyKind::Tpp];
 
 /// Outcome of one seeded policy run.
-#[derive(Debug, Clone)]
 pub struct PolicyRunReport {
     /// The policy's [`PolicyKind::id`], followed by the tier count on
     /// chains longer than two tiers (`chrono-dcsc3`).
     pub policy: String,
-    /// The seed the workload and system shape were derived from.
-    pub seed: u64,
     /// Stable digest of the recorded trace (determinism/golden checks).
     pub digest: u64,
     /// Accesses executed.
     pub accesses: u64,
     /// Oracle snapshots taken during the run.
     pub oracle_checks: u64,
-    /// Tier health-state transitions the run recorded (zero on fault-free
-    /// runs; the tier-chaos effectiveness self-test keys on it).
-    pub tier_health_transitions: u64,
-    /// Pages the emergency evacuation lane issued (zero unless a tier went
-    /// offline mid-run).
-    pub evacuated_pages: u64,
     /// Violations found (first few, deduplicated by invariant).
     pub violations: Vec<Violation>,
+    /// The system as the run left it, for the counters a fuzz profile
+    /// reads.
+    pub sys: TieredSystem,
 }
 
 impl PolicyRunReport {
@@ -139,13 +133,11 @@ pub fn run_policy_case_with_plan(
             2 => policy.id().to_string(),
             n => format!("{}{n}", policy.id()),
         },
-        seed,
         digest: sys.trace.digest(),
         accesses: result.accesses,
         oracle_checks: oracle.checks,
-        tier_health_transitions: sys.stats.tier_health_transitions,
-        evacuated_pages: sys.stats.evacuated_pages,
         violations,
+        sys,
     }
 }
 
@@ -157,22 +149,24 @@ pub fn determinism_digests(policy: PolicyKind, seed: u64, run_millis: u64) -> (u
     (a.digest, b.digest)
 }
 
-/// One tier-chaos fuzz case: a three-tier cascade run under a seed-chosen
-/// failure-domain plan — half the seeds get the canonical arc
+/// The tier-chaos fuzz case of a seed, run on [`Topology::ThreeTier`]: a
+/// seed-chosen failure-domain plan — half the seeds get the canonical arc
 /// ([`FaultPlan::canonical3`]: degrade, mid-tier offline with a live
 /// evacuation window, rejoin), the other half the storm
 /// ([`FaultPlan::storm3`]: staggered offline/online cycles on both lower
 /// tiers plus capacity wobble) — with the policy alternating between the
 /// cascaded Chrono and the hop-wise TPP generalization.
-pub fn fuzz_one_tier_chaos(seed: u64, run_millis: u64) -> PolicyRunReport {
+pub fn tier_chaos_case(seed: u64, run_millis: u64) -> (PolicyKind, FaultPlan) {
     let horizon = Nanos::from_millis(run_millis);
     let plan = if seed & 1 == 0 {
         FaultPlan::canonical3(seed, horizon)
     } else {
         FaultPlan::storm3(seed, horizon)
     };
-    let policy = CHAIN_POLICIES[(seed >> 1) as usize % CHAIN_POLICIES.len()];
-    run_policy_case_with_plan(policy, Topology::ThreeTier, seed, run_millis, Some(plan))
+    (
+        CHAIN_POLICIES[(seed >> 1) as usize % CHAIN_POLICIES.len()],
+        plan,
+    )
 }
 
 #[cfg(test)]
@@ -223,34 +217,6 @@ mod tests {
             assert!(a.clean(), "{} violated: {:?}", a.policy, a.violations);
             assert_eq!(a.digest, b.digest, "{} nondeterministic", a.policy);
         }
-    }
-
-    #[test]
-    fn tier_chaos_cases_run_clean_deterministic_and_actually_fail_tiers() {
-        // Both plan flavours (even seed: canonical3, odd seed: storm3) must
-        // run invariant-clean, replay bit for bit, and genuinely exercise
-        // the failure-domain machinery — a chaos profile whose tiers never
-        // fail tests nothing.
-        let mut transitions = 0u64;
-        let mut evacuated = 0u64;
-        for seed in 0x7C_0000..0x7C_0004u64 {
-            let a = fuzz_one_tier_chaos(seed, 20);
-            let b = fuzz_one_tier_chaos(seed, 20);
-            assert!(a.accesses > 0, "{} did nothing", a.policy);
-            assert!(a.clean(), "{} violated: {:?}", a.policy, a.violations);
-            assert_eq!(
-                a.digest, b.digest,
-                "{} chaos run nondeterministic",
-                a.policy
-            );
-            transitions += a.tier_health_transitions;
-            evacuated += a.evacuated_pages;
-        }
-        assert!(transitions > 0, "no tier ever changed health state");
-        assert!(
-            evacuated > 0,
-            "no evacuation lane traffic across chaos seeds"
-        );
     }
 
     #[test]

@@ -20,15 +20,16 @@
 //!   `tiering_analysis::canonical_grants` (N-version programming: same
 //!   spec, deliberately different structure) and must agree exactly.
 //!
-//! [`run_sharded_case_permuted`] additionally shuffles the shard step order
-//! inside every barrier window (seeded Fisher–Yates) — the dynamic
-//! counterpart of the chrono-race interleaving model: since shards share
-//! nothing between barriers, every digest must survive any step order.
+//! A [`ShardedCase`] holds everything a run varies. Its `permute_seed`
+//! additionally shuffles the shard step order inside every barrier window
+//! (seeded Fisher–Yates) — the dynamic counterpart of the chrono-race
+//! interleaving model: since shards share nothing between barriers, every
+//! digest must survive any step order.
 //!
-//! A single-tenant case with the admission hook off is built through the
-//! exact classic-case constructor, so its digest reproduces today's golden
-//! tables byte for byte — the compat surface the thread-invariance suite
-//! pins.
+//! A single-tenant case gets the classic case's whole pool, trace ring and
+//! workload seed, so with the admission hook off its digest reproduces the
+//! classic golden tables byte for byte — the compat surface the
+//! thread-invariance suite pins.
 
 use sim_clock::{DetRng, Nanos};
 use tiered_mem::{
@@ -55,43 +56,32 @@ const FAULT_STREAM: u64 = 0xFA57_0000;
 pub const SHARD_GOLDEN_TENANTS: usize = 3;
 
 /// Outcome of one sharded policy case.
-#[derive(Debug, Clone)]
 pub struct ShardedCaseReport {
-    /// The policy every tenant ran (or a label naming a per-tenant mix).
-    pub policy: &'static str,
-    /// Case seed.
-    pub seed: u64,
-    /// Tenants simulated.
-    pub tenants: usize,
-    /// Worker threads used (must not affect any other field).
-    pub threads: usize,
     /// Combined digest (single tenant: that tenant's classic digest).
     pub combined_digest: u64,
     /// Per-tenant trace digests, tenant order.
     pub tenant_digests: Vec<u64>,
     /// Total accesses across tenants.
     pub accesses: u64,
-    /// Admission (backpressure) rejections summed across tenants.
-    pub backpressure_rejects: u64,
     /// Cumulative slot grants per tenant (zero when the hook is off).
     pub granted_slots: Vec<u64>,
     /// Gini coefficient of the slot grants.
     pub slot_gini: f64,
-    /// `(min, max)` per-tenant FMAR.
-    pub fmar_spread: (f64, f64),
-    /// Tier health-state transitions summed across tenants (zero unless the
-    /// case schedules tier failure-domain events).
-    pub tier_health_transitions: u64,
-    /// Emergency evacuation-lane pages summed across tenants.
-    pub evacuated_pages: u64,
     /// All violations found (per-shard oracle + cross-shard invariants).
     pub violations: Vec<Violation>,
+    /// Each tenant's system as the run left it, tenant order.
+    pub systems: Vec<TieredSystem>,
 }
 
 impl ShardedCaseReport {
     /// Whether the run satisfied every invariant.
     pub fn clean(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// A count summed over the tenants' final systems.
+    pub fn total(&self, read: fn(&TieredSystem) -> u64) -> u64 {
+        self.systems.iter().map(read).sum()
     }
 }
 
@@ -101,79 +91,6 @@ impl ShardedCaseReport {
 pub fn tenant_weights(seed: u64, tenants: usize) -> Vec<u64> {
     let mut rng = DetRng::split(seed, WEIGHT_STREAM);
     (0..tenants).map(|_| 1 + rng.below(8)).collect()
-}
-
-/// Builds the shards for a seeded multi-tenant case: the global fuzz-shape
-/// frame pool split by weighted partition, per-tenant skewed workloads on
-/// split RNG streams, one policy instance per tenant. `fault_plan_for`
-/// attaches an optional plan per tenant (id-keyed, so plans are stable
-/// across thread counts).
-fn build_shards(
-    policy_for: &dyn Fn(u32) -> PolicyKind,
-    seed: u64,
-    tenants: usize,
-    run_millis: u64,
-    fault_plan_for: &dyn Fn(u32) -> Option<FaultPlan>,
-) -> (Vec<TenantShard>, PartitionPlan) {
-    let (total_frames, pages, wl_seed) = case_shape(seed);
-    let scale = Scale::fuzz_scale();
-    let driver = DriverConfig {
-        run_for: Nanos::from_millis(run_millis),
-        ..Default::default()
-    };
-
-    if tenants == 1 {
-        // The classic constructor, verbatim — single-tenant sharded runs
-        // must reproduce `run_policy_case` digests byte for byte.
-        let mut cfg = SystemConfig::quarter_fast(total_frames);
-        cfg.fault_plan = fault_plan_for(0);
-        let mut sys = TieredSystem::new(cfg);
-        sys.enable_tracing(1 << 12);
-        let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(pages, 0.7, wl_seed));
-        sys.add_process(w.address_space_pages(), PageSize::Base);
-        let shard = TenantShard::new(
-            0,
-            1,
-            sys,
-            vec![Box::new(w)],
-            policy_for(0).build(&scale),
-            driver,
-        );
-        let plan = PartitionPlan::split_even(total_frames / 4, total_frames - total_frames / 4, 1);
-        return (vec![shard], plan);
-    }
-
-    let weights = tenant_weights(seed, tenants);
-    let fast_total = total_frames / 4;
-    let slow_total = total_frames - fast_total;
-    let plan = PartitionPlan::split_weighted(fast_total, slow_total, &weights);
-    let shards = (0..tenants)
-        .map(|i| {
-            let part = plan.part(i);
-            let mut cfg = SystemConfig::dram_pmem(part.fast_frames(), part.slow_frames());
-            cfg.fault_plan = fault_plan_for(i as u32);
-            let mut sys = TieredSystem::new(cfg);
-            sys.enable_tracing(1 << 10);
-            // Working set scales with the tenant's partition so every shard
-            // is under comparable pressure; the access stream itself comes
-            // from a tenant-id-keyed split of the workload seed.
-            let tenant_pages =
-                ((pages as u64 * part.fast_frames() as u64 / fast_total as u64) as u32).max(64);
-            let tenant_seed = DetRng::split(wl_seed, WORKLOAD_STREAM ^ i as u64).next_u64();
-            let w =
-                PmbenchWorkload::new(PmbenchConfig::paper_skewed(tenant_pages, 0.7, tenant_seed));
-            sys.add_process(w.address_space_pages(), PageSize::Base);
-            TenantShard::new(
-                i as u32,
-                weights[i],
-                sys,
-                vec![Box::new(w) as Box<dyn Workload>],
-                policy_for(i as u32).build(&scale),
-                driver.clone(),
-            )
-        })
-        .collect();
-    (shards, plan)
 }
 
 /// Per-tenant slot-flow conservation: every opened migration transaction is
@@ -285,102 +202,217 @@ fn check_cross_shard(shards: &[TenantShard], plan: &PartitionPlan, out: &mut Vec
     }
 }
 
-/// Runs one sharded policy case: `tenants` shards of `policy` over the
-/// seed-derived partitioned pool, stepped by `threads` workers, with the
-/// admission hook optionally enabled (its slot pool spans the global
-/// `MigrationSpec` default). Violations never panic — callers decide.
-pub fn run_sharded_case(
-    policy: PolicyKind,
-    seed: u64,
-    run_millis: u64,
-    tenants: usize,
-    threads: usize,
-    admission: bool,
-) -> ShardedCaseReport {
-    let slots = admission.then(|| AdmissionConfig::default().total_slots);
-    run_sharded_case_with_plans(policy, seed, run_millis, tenants, threads, slots, &|_| None)
+/// One sharded policy case. Per-tenant settings are vectors indexed by
+/// tenant id, so the same tenant gets the same policy and plan at every
+/// worker-thread count.
+#[derive(Debug, Clone)]
+pub struct ShardedCase {
+    /// Case seed: the frame pool, weights and workload streams derive from
+    /// it.
+    pub seed: u64,
+    /// Simulated run length.
+    pub run_millis: u64,
+    /// Worker threads (must not affect any report field).
+    pub threads: usize,
+    /// Each tenant's policy; its length is the tenant count.
+    pub policies: Vec<PolicyKind>,
+    /// Each tenant's fault plan, same length.
+    pub fault_plans: Vec<Option<FaultPlan>>,
+    /// The admission hook's slot pool; `None` turns the hook off.
+    pub admission_slots: Option<usize>,
+    /// Shuffles the shard step order inside every barrier window
+    /// (`ShardedConfig::permute_seed`). Shards share nothing between
+    /// barriers, so the report must match the unpermuted run bit for bit.
+    pub permute_seed: Option<u64>,
+    /// Tier events applied to every tenant at barriers
+    /// ([`shard_tier_chaos_events`]).
+    pub tier_events: Vec<TierEvent>,
 }
 
-/// [`run_sharded_case`] with an explicit admission slot pool (`None` = hook
-/// off) and a per-tenant fault-plan selector (tenant-id keyed so the same
-/// plans attach regardless of thread count).
-pub fn run_sharded_case_with_plans(
-    policy: PolicyKind,
-    seed: u64,
-    run_millis: u64,
-    tenants: usize,
-    threads: usize,
-    admission_slots: Option<usize>,
-    fault_plan_for: &dyn Fn(u32) -> Option<FaultPlan>,
-) -> ShardedCaseReport {
-    run_sharded_case_mixed(
-        policy.id(),
-        &|_| policy,
-        seed,
-        run_millis,
-        tenants,
-        threads,
-        admission_slots,
-        fault_plan_for,
-    )
-}
+impl ShardedCase {
+    /// `tenants` shards of `policy` over the seed-derived partitioned pool,
+    /// one worker thread, the admission hook on with its default slot pool
+    /// (which spans the global `MigrationSpec` default), no faults.
+    pub fn new(policy: PolicyKind, seed: u64, run_millis: u64, tenants: usize) -> ShardedCase {
+        ShardedCase {
+            seed,
+            run_millis,
+            threads: 1,
+            policies: vec![policy; tenants],
+            fault_plans: vec![None; tenants],
+            admission_slots: Some(AdmissionConfig::default().total_slots),
+            permute_seed: None,
+            tier_events: Vec::new(),
+        }
+    }
 
-/// The fully general sharded case: a per-tenant policy selector (tenant-id
-/// keyed, so assignments are stable across thread counts) instead of one
-/// policy for every tenant. `label` names the mix in the report.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_case_mixed(
-    label: &'static str,
-    policy_for: &dyn Fn(u32) -> PolicyKind,
-    seed: u64,
-    run_millis: u64,
-    tenants: usize,
-    threads: usize,
-    admission_slots: Option<usize>,
-    fault_plan_for: &dyn Fn(u32) -> Option<FaultPlan>,
-) -> ShardedCaseReport {
-    run_sharded_case_full(
-        label,
-        policy_for,
-        seed,
-        run_millis,
-        tenants,
-        threads,
-        admission_slots,
-        fault_plan_for,
-        None,
-        Vec::new(),
-    )
-}
+    /// The tenant-storm fuzz case of a seed: 4–8 tenants with mixed policies
+    /// (rotated through [`PolicyKind::FUZZED`] from a seed-derived offset),
+    /// skewed weights, the admission hook on, and a canonical fault plan
+    /// (capacity shrink, copy faults, degradation) attached to one
+    /// seed-chosen tenant — cross-tenant allocation pressure, concurrent
+    /// promotion drains, and mid-barrier capacity shrink in one schedule.
+    pub fn tenant_storm(seed: u64, run_millis: u64) -> ShardedCase {
+        let mut rng = DetRng::split(seed, FAULT_STREAM);
+        let tenants = 4 + rng.below(5) as usize; // 4..=8
+        let threads = 1 + rng.below(4) as usize; // 1..=4
+        let offset = rng.below(PolicyKind::FUZZED.len() as u64) as usize;
+        // At least one tenant always runs a Chrono mode: its two-phase
+        // migrations hold in-flight slots across the copy window, so a tight
+        // cap actually binds (baselines complete instantly and rarely queue).
+        let chrono_tenant = rng.below(tenants as u64) as usize;
+        let faulty_tenant = rng.below(tenants as u64) as usize;
+        // A deliberately tight slot pool (right at the weighted-regime
+        // boundary) so cross-tenant contention — and the admission-reject
+        // path — actually gets exercised.
+        let slots = 2 * tenants + rng.below(4) as usize;
+        let horizon = Nanos::from_millis(run_millis);
+        ShardedCase {
+            threads,
+            policies: (0..tenants)
+                .map(|id| {
+                    if id == chrono_tenant {
+                        PolicyKind::Chrono
+                    } else {
+                        PolicyKind::FUZZED[(offset + id) % PolicyKind::FUZZED.len()]
+                    }
+                })
+                .collect(),
+            fault_plans: (0..tenants)
+                .map(|id| {
+                    (id == faulty_tenant).then(|| FaultPlan::canonical(seed ^ id as u64, horizon))
+                })
+                .collect(),
+            admission_slots: Some(slots),
+            ..ShardedCase::new(PolicyKind::Chrono, seed, run_millis, tenants)
+        }
+    }
 
-/// [`run_sharded_case`] with the per-window shard step order permuted by a
-/// seeded Fisher–Yates shuffle (`ShardedConfig::permute_seed`). Shards
-/// share nothing between barriers, so every field of the report must match
-/// the unpermuted run bit for bit — the dynamic face of the chrono-race
-/// barrier-discipline claim the static rules and the interleaving model
-/// check check structurally.
-pub fn run_sharded_case_permuted(
-    policy: PolicyKind,
-    seed: u64,
-    run_millis: u64,
-    tenants: usize,
-    threads: usize,
-    admission: bool,
-    permute_seed: u64,
-) -> ShardedCaseReport {
-    let slots = admission.then(|| AdmissionConfig::default().total_slots);
-    run_sharded_case_full(
-        policy.id(),
-        &|_| policy,
-        seed,
-        run_millis,
-        tenants,
-        threads,
-        slots,
-        &|_| None,
-        Some(permute_seed),
-        Vec::new(),
-    )
+    /// Builds the shards: the global fuzz-shape frame pool split by
+    /// weighted partition, per-tenant skewed workloads on split RNG
+    /// streams, one policy instance and optional fault plan per tenant.
+    fn build_shards(&self) -> (Vec<TenantShard>, PartitionPlan) {
+        let tenants = self.policies.len();
+        assert_eq!(self.fault_plans.len(), tenants, "one fault plan per tenant");
+        let (total_frames, pages, wl_seed) = case_shape(self.seed);
+        let scale = Scale::fuzz_scale();
+        let driver = DriverConfig {
+            run_for: Nanos::from_millis(self.run_millis),
+            ..Default::default()
+        };
+
+        // One tenant runs the classic case verbatim (the whole pool, its
+        // trace ring and workload seed), so single-tenant sharded runs
+        // reproduce `run_policy_case` digests byte for byte.
+        let classic = tenants == 1;
+        let weights = if classic {
+            vec![1]
+        } else {
+            tenant_weights(self.seed, tenants)
+        };
+        let fast_total = total_frames / 4;
+        let plan = PartitionPlan::split_weighted(fast_total, total_frames - fast_total, &weights);
+        let shards = (0..tenants)
+            .map(|i| {
+                let part = plan.part(i);
+                let mut cfg = SystemConfig::dram_pmem(part.fast_frames(), part.slow_frames());
+                cfg.fault_plan = self.fault_plans[i].clone();
+                let mut sys = TieredSystem::new(cfg);
+                sys.enable_tracing(if classic { 1 << 12 } else { 1 << 10 });
+                // Working set scales with the tenant's partition so every
+                // shard is under comparable pressure; the access stream
+                // itself comes from a tenant-id-keyed split of the workload
+                // seed.
+                let tenant_pages =
+                    ((pages as u64 * part.fast_frames() as u64 / fast_total as u64) as u32).max(64);
+                let tenant_seed = if classic {
+                    wl_seed
+                } else {
+                    DetRng::split(wl_seed, WORKLOAD_STREAM ^ i as u64).next_u64()
+                };
+                let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(
+                    tenant_pages,
+                    0.7,
+                    tenant_seed,
+                ));
+                sys.add_process(w.address_space_pages(), PageSize::Base);
+                TenantShard::new(
+                    i as u32,
+                    weights[i],
+                    sys,
+                    vec![Box::new(w) as Box<dyn Workload>],
+                    self.policies[i].build(&scale),
+                    driver.clone(),
+                )
+            })
+            .collect();
+        (shards, plan)
+    }
+
+    /// Runs the case with the per-shard oracle at every barrier and the
+    /// cross-shard invariants after the run. Violations never panic —
+    /// callers decide.
+    pub fn run(&self) -> ShardedCaseReport {
+        const MAX_KEPT: usize = 8;
+        let tenants = self.policies.len();
+        let (shards, plan) = self.build_shards();
+        let mut cfg = ShardedConfig::new(Nanos::from_millis(self.run_millis));
+        // Barriers fall on the fuzz scale's scan periods.
+        cfg.barrier_interval = Scale::fuzz_scale().scan_period;
+        cfg.threads = self.threads;
+        cfg.permute_seed = self.permute_seed;
+        cfg.tier_events = self.tier_events.clone();
+        cfg.admission = AdmissionConfig {
+            enabled: self.admission_slots.is_some(),
+            total_slots: self
+                .admission_slots
+                .unwrap_or_else(|| AdmissionConfig::default().total_slots),
+        };
+        let sim = ShardedSim::new(cfg, shards);
+
+        // Per-shard oracle sweep at every barrier (the hook runs on the main
+        // thread in tenant-id order, so `violations` needs no
+        // synchronisation), plus the barrier-time admission audits for the
+        // post-run replay through the canonical-grants oracle.
+        let mut oracle = InvariantOracle::new();
+        let mut violations: Vec<Violation> = Vec::new();
+        let mut audits: Vec<BarrierAudit> = Vec::new();
+        let result = sim.run_with_audit(
+            |shard| {
+                if violations.len() < MAX_KEPT {
+                    violations.extend(oracle.check(&shard.sys));
+                    if let Some(v) = check_slot_flow(shard) {
+                        violations.push(v);
+                    }
+                    violations.truncate(MAX_KEPT);
+                }
+            },
+            |audit| audits.push(audit.clone()),
+        );
+
+        for audit in &audits {
+            if violations.len() < MAX_KEPT {
+                check_admission_audit(audit, tenants, &mut violations);
+            }
+        }
+        check_cross_shard(&result.shards, &plan, &mut violations);
+        for s in &result.shards {
+            if let Some(v) = check_slot_flow(s) {
+                violations.push(v);
+            }
+        }
+        violations.truncate(MAX_KEPT);
+
+        ShardedCaseReport {
+            combined_digest: result.combined_digest(),
+            tenant_digests: result.outcomes.iter().map(|o| o.digest).collect(),
+            accesses: result.total_accesses(),
+            granted_slots: result.outcomes.iter().map(|o| o.granted_slots).collect(),
+            slot_gini: result.slot_share_gini(),
+            violations,
+            systems: result.shards.into_iter().map(|s| s.sys).collect(),
+        }
+    }
 }
 
 /// The barrier-scheduled failure-domain arc of the tier-chaos shard cases:
@@ -406,168 +438,6 @@ pub fn shard_tier_chaos_events(run_millis: u64) -> Vec<TierEvent> {
     ]
 }
 
-/// The satellite determinism case of the failure-domain work: a mid-run
-/// `TierOffline` (then rejoin) applied to every tenant at barriers via
-/// [`tiering_policies::ShardedConfig::tier_events`], run at any worker
-/// thread count. The committed chaos shard golden snapshots this
-/// single-threaded; the thread-invariance suite replays it at 2 and 8
-/// workers and must reproduce the table bit for bit.
-pub fn run_sharded_tier_chaos_case(
-    policy: PolicyKind,
-    seed: u64,
-    run_millis: u64,
-    threads: usize,
-) -> ShardedCaseReport {
-    run_sharded_case_full(
-        policy.id(),
-        &|_| policy,
-        seed,
-        run_millis,
-        SHARD_GOLDEN_TENANTS,
-        threads,
-        Some(AdmissionConfig::default().total_slots),
-        &|_| None,
-        None,
-        shard_tier_chaos_events(run_millis),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sharded_case_full(
-    label: &'static str,
-    policy_for: &dyn Fn(u32) -> PolicyKind,
-    seed: u64,
-    run_millis: u64,
-    tenants: usize,
-    threads: usize,
-    admission_slots: Option<usize>,
-    fault_plan_for: &dyn Fn(u32) -> Option<FaultPlan>,
-    permute_seed: Option<u64>,
-    tier_events: Vec<TierEvent>,
-) -> ShardedCaseReport {
-    const MAX_KEPT: usize = 8;
-    let (shards, plan) = build_shards(policy_for, seed, tenants, run_millis, fault_plan_for);
-    let mut cfg = ShardedConfig::new(Nanos::from_millis(run_millis));
-    // Barriers fall on the fuzz scale's scan periods.
-    cfg.barrier_interval = Scale::fuzz_scale().scan_period;
-    cfg.threads = threads;
-    cfg.permute_seed = permute_seed;
-    cfg.tier_events = tier_events;
-    cfg.admission = AdmissionConfig {
-        enabled: admission_slots.is_some(),
-        total_slots: admission_slots.unwrap_or_else(|| AdmissionConfig::default().total_slots),
-    };
-    let sim = ShardedSim::new(cfg, shards);
-
-    // Per-shard oracle sweep at every barrier (the hook runs on the main
-    // thread in tenant-id order, so `violations` needs no synchronisation),
-    // plus the barrier-time admission audits for the post-run replay
-    // through the canonical-grants oracle.
-    let mut oracle = InvariantOracle::new();
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut audits: Vec<BarrierAudit> = Vec::new();
-    let result = sim.run_with_audit(
-        |shard| {
-            if violations.len() < MAX_KEPT {
-                violations.extend(oracle.check(&shard.sys));
-                if let Some(v) = check_slot_flow(shard) {
-                    violations.push(v);
-                }
-                violations.truncate(MAX_KEPT);
-            }
-        },
-        |audit| audits.push(audit.clone()),
-    );
-
-    for audit in &audits {
-        if violations.len() < MAX_KEPT {
-            check_admission_audit(audit, tenants, &mut violations);
-        }
-    }
-    check_cross_shard(&result.shards, &plan, &mut violations);
-    for s in &result.shards {
-        if let Some(v) = check_slot_flow(s) {
-            violations.push(v);
-        }
-    }
-    violations.truncate(MAX_KEPT);
-
-    let backpressure_rejects = result
-        .shards
-        .iter()
-        .map(|s| s.sys.stats.failed_fast_migrations[3])
-        .sum();
-    ShardedCaseReport {
-        policy: label,
-        seed,
-        tenants,
-        threads,
-        combined_digest: result.combined_digest(),
-        tenant_digests: result.outcomes.iter().map(|o| o.digest).collect(),
-        accesses: result.total_accesses(),
-        backpressure_rejects,
-        granted_slots: result.outcomes.iter().map(|o| o.granted_slots).collect(),
-        slot_gini: result.slot_share_gini(),
-        fmar_spread: result.fmar_spread(),
-        tier_health_transitions: result
-            .shards
-            .iter()
-            .map(|s| s.sys.stats.tier_health_transitions)
-            .sum(),
-        evacuated_pages: result
-            .shards
-            .iter()
-            .map(|s| s.sys.stats.evacuated_pages)
-            .sum(),
-        violations,
-    }
-}
-
-/// One tenant-storm fuzz case: 4–8 tenants with mixed policies (rotated
-/// through [`PolicyKind::FUZZED`] from a seed-derived offset), skewed weights, the
-/// admission hook on, and a canonical fault plan (capacity shrink, copy
-/// faults, degradation) attached to one seed-chosen tenant — cross-tenant
-/// allocation pressure, concurrent promotion drains, and mid-barrier
-/// capacity shrink in one schedule.
-pub fn fuzz_one_tenant_storm(seed: u64, run_millis: u64) -> ShardedCaseReport {
-    let mut rng = DetRng::split(seed, FAULT_STREAM);
-    let tenants = 4 + rng.below(5) as usize; // 4..=8
-    let threads = 1 + rng.below(4) as usize; // 1..=4
-    let offset = rng.below(PolicyKind::FUZZED.len() as u64) as usize;
-    // At least one tenant always runs a Chrono mode: its two-phase
-    // migrations hold in-flight slots across the copy window, so a tight
-    // cap actually binds (baselines complete instantly and rarely queue).
-    let chrono_tenant = rng.below(tenants as u64) as u32;
-    let faulty_tenant = rng.below(tenants as u64) as u32;
-    // A deliberately tight slot pool (right at the weighted-regime
-    // boundary) so cross-tenant contention — and the admission-reject
-    // path — actually gets exercised.
-    let slots = 2 * tenants + rng.below(4) as usize;
-    let horizon = Nanos::from_millis(run_millis);
-    run_sharded_case_mixed(
-        "storm-mixed",
-        &move |id| {
-            if id == chrono_tenant {
-                PolicyKind::Chrono
-            } else {
-                PolicyKind::FUZZED[(offset + id as usize) % PolicyKind::FUZZED.len()]
-            }
-        },
-        seed,
-        run_millis,
-        tenants,
-        threads,
-        Some(slots),
-        &move |id| {
-            if id == faulty_tenant {
-                Some(FaultPlan::canonical(seed ^ id as u64, horizon))
-            } else {
-                None
-            }
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,7 +450,12 @@ mod tests {
         for p in [PolicyKind::Chrono, PolicyKind::Tpp] {
             let classic = run_policy_case(p, 0x5EED, 10);
             for threads in [1usize, 4] {
-                let sharded = run_sharded_case(p, 0x5EED, 10, 1, threads, false);
+                let sharded = ShardedCase {
+                    threads,
+                    admission_slots: None,
+                    ..ShardedCase::new(p, 0x5EED, 10, 1)
+                }
+                .run();
                 assert_eq!(
                     sharded.combined_digest, classic.digest,
                     "{} single-tenant sharded digest diverged from classic",
@@ -595,8 +470,9 @@ mod tests {
     #[test]
     fn multi_tenant_case_is_thread_invariant_and_clean() {
         let p = PolicyKind::Chrono;
-        let one = run_sharded_case(p, 0xABCD, 10, 4, 1, true);
-        let eight = run_sharded_case(p, 0xABCD, 10, 4, 8, true);
+        let case = ShardedCase::new(p, 0xABCD, 10, 4);
+        let one = case.run();
+        let eight = ShardedCase { threads: 8, ..case }.run();
         assert_eq!(one.combined_digest, eight.combined_digest);
         assert_eq!(one.tenant_digests, eight.tenant_digests);
         assert_eq!(one.granted_slots, eight.granted_slots);
@@ -610,50 +486,35 @@ mod tests {
         // tenant dies mid-run and rejoins, applied at barriers — 1-, 2-,
         // and 8-worker replays must produce the same tables bit for bit,
         // and the arc must genuinely fire (evacuations, health churn).
-        let p = PolicyKind::Chrono;
-        let one = run_sharded_tier_chaos_case(p, 0xABCD, 10, 1);
+        let clean = ShardedCase::new(PolicyKind::Chrono, 0xABCD, 10, SHARD_GOLDEN_TENANTS);
+        let chaos = ShardedCase {
+            tier_events: shard_tier_chaos_events(10),
+            ..clean.clone()
+        };
+        let transitions = |r: &ShardedCaseReport| r.total(|s| s.stats.tier_health_transitions);
+        let evacuated = |r: &ShardedCaseReport| r.total(|s| s.stats.evacuated_pages);
+        let one = chaos.run();
         assert!(one.clean(), "violations: {:?}", one.violations);
-        assert!(one.tier_health_transitions > 0, "no tier ever failed");
-        assert!(one.evacuated_pages > 0, "offline window never evacuated");
+        assert!(transitions(&one) > 0, "no tier ever failed");
+        assert!(evacuated(&one) > 0, "offline window never evacuated");
         for threads in [2usize, 8] {
-            let multi = run_sharded_tier_chaos_case(p, 0xABCD, 10, threads);
+            let multi = ShardedCase {
+                threads,
+                ..chaos.clone()
+            }
+            .run();
             assert_eq!(
                 multi.combined_digest, one.combined_digest,
                 "{threads}-thread chaos replay diverged"
             );
             assert_eq!(multi.tenant_digests, one.tenant_digests);
             assert_eq!(multi.granted_slots, one.granted_slots);
-            assert_eq!(multi.tier_health_transitions, one.tier_health_transitions);
-            assert_eq!(multi.evacuated_pages, one.evacuated_pages);
+            assert_eq!(transitions(&multi), transitions(&one));
+            assert_eq!(evacuated(&multi), evacuated(&one));
         }
         // The arc must also perturb the run relative to the fault-free case
         // — otherwise the golden snapshots nothing new.
-        let clean = run_sharded_case(p, 0xABCD, 10, SHARD_GOLDEN_TENANTS, 1, true);
-        assert_ne!(one.combined_digest, clean.combined_digest);
-    }
-
-    #[test]
-    fn tenant_storm_case_is_deterministic_and_clean() {
-        let a = fuzz_one_tenant_storm(0x5701, 10);
-        let b = fuzz_one_tenant_storm(0x5701, 10);
-        assert_eq!(a.combined_digest, b.combined_digest);
-        assert_eq!(a.tenant_digests, b.tenant_digests);
-        assert!(a.clean(), "violations: {:?}", a.violations);
-    }
-
-    #[test]
-    fn admission_reject_path_fires_under_storm() {
-        // Effectiveness self-test: across a handful of storm seeds the
-        // backpressure-reject path must actually fire — otherwise the
-        // admission hook (and the invariants above it) test nothing.
-        let mut rejects = 0u64;
-        for seed in 0..6u64 {
-            rejects += fuzz_one_tenant_storm(0x5702 + seed, 10).backpressure_rejects;
-        }
-        assert!(
-            rejects > 0,
-            "admission hook never rejected a migration across storm seeds"
-        );
+        assert_ne!(one.combined_digest, clean.run().combined_digest);
     }
 
     #[test]
@@ -662,10 +523,16 @@ mod tests {
         // the shard step order (sequential and threaded) must leave the
         // whole report identical to the unpermuted run.
         let p = PolicyKind::Chrono;
-        let base = run_sharded_case(p, 0xABCD, 10, 4, 1, true);
+        let case = ShardedCase::new(p, 0xABCD, 10, 4);
+        let base = case.run();
         for permute in [0x0101u64, 0xDEAD_BEEF] {
             for threads in [1usize, 4] {
-                let perm = run_sharded_case_permuted(p, 0xABCD, 10, 4, threads, true, permute);
+                let perm = ShardedCase {
+                    threads,
+                    permute_seed: Some(permute),
+                    ..case.clone()
+                }
+                .run();
                 assert_eq!(
                     perm.combined_digest, base.combined_digest,
                     "permute {permute:#x} at {threads} threads: combined digest diverged"

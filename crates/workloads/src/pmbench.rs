@@ -28,13 +28,9 @@ pub struct PmbenchConfig {
     pub pattern: PmbenchPattern,
     /// RNG seed for this process.
     pub seed: u64,
-    /// Total accesses to issue; `u64::MAX` for "until the driver stops us".
+    /// Total accesses to issue after the sequential init pass; `u64::MAX`
+    /// for "until the driver stops us".
     pub total_accesses: u64,
-    /// Touch the whole working set sequentially before the measured phase —
-    /// pmbench's setup behaviour, and the paper's methodology for equalizing
-    /// the initial page distribution. Init accesses do not count against
-    /// `total_accesses`.
-    pub sequential_init: bool,
 }
 
 /// The pmbench access patterns used in the paper.
@@ -64,7 +60,6 @@ impl PmbenchConfig {
             },
             seed,
             total_accesses: u64::MAX,
-            sequential_init: true,
         }
     }
 
@@ -77,7 +72,6 @@ impl PmbenchConfig {
             pattern: PmbenchPattern::Uniform,
             seed,
             total_accesses: u64::MAX,
-            sequential_init: true,
         }
     }
 }
@@ -87,7 +81,10 @@ enum Pattern {
     Uniform(UniformPattern),
 }
 
-/// A running pmbench process.
+/// A running pmbench process. It first touches its whole working set
+/// sequentially — pmbench's setup behaviour, and the paper's method for
+/// equalizing the initial page distribution — then issues the pattern's
+/// accesses.
 pub struct PmbenchWorkload {
     cfg: PmbenchConfig,
     pattern: Pattern,
@@ -106,13 +103,12 @@ impl PmbenchWorkload {
             PmbenchPattern::Uniform => Pattern::Uniform(UniformPattern::new(cfg.pages)),
         };
         let rng = DetRng::seed(cfg.seed);
-        let init_cursor = if cfg.sequential_init { 0 } else { cfg.pages };
         PmbenchWorkload {
             cfg,
             pattern,
             rng,
             issued: 0,
-            init_cursor,
+            init_cursor: 0,
         }
     }
 
@@ -216,19 +212,6 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 100 + 5);
-    }
-
-    #[test]
-    fn init_can_be_disabled() {
-        let mut cfg = PmbenchConfig::paper_skewed(100, 0.5, 1);
-        cfg.sequential_init = false;
-        cfg.total_accesses = 7;
-        let mut w = PmbenchWorkload::new(cfg);
-        let mut count = 0;
-        while w.next_access().is_some() {
-            count += 1;
-        }
-        assert_eq!(count, 7);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! DESIGN.md §2 (the workspace inventory) stays in sync with the tree:
 //! every source file it lists under a crate heading exists in that crate's
 //! `src/`, every top-level `src/*.rs` file of a crate is listed, and every
-//! crate has a heading.
+//! crate has a heading. §3 (the experiment index) lists exactly the
+//! harness's experiment ids, and every module it names is a source file.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -10,14 +11,20 @@ fn repo() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
+/// The `## <number>` section of DESIGN.md whose title starts with `title`.
+fn section(title: &str) -> String {
+    let design = std::fs::read_to_string(repo().join("DESIGN.md")).expect("DESIGN.md");
+    design
+        .split("\n## ")
+        .find(|s| s.starts_with(title))
+        .unwrap_or_else(|| panic!("DESIGN.md has a section '{title}'"))
+        .to_string()
+}
+
 /// The files (or `dir/` entries) bulleted under each `### <crate>` heading
 /// of §2, keyed by crate name.
 fn inventory() -> BTreeMap<String, Vec<String>> {
-    let design = std::fs::read_to_string(repo().join("DESIGN.md")).expect("DESIGN.md");
-    let section = design
-        .split("\n## ")
-        .find(|s| s.starts_with("2. Workspace inventory"))
-        .expect("DESIGN.md has a §2 workspace inventory");
+    let section = section("2. Workspace inventory");
     let mut listed: BTreeMap<String, Vec<String>> = BTreeMap::new();
     let mut current: Option<String> = None;
     for line in section.lines() {
@@ -100,4 +107,44 @@ fn rs_files(src: &Path) -> Vec<String> {
         .collect();
     out.sort();
     out
+}
+
+#[test]
+fn experiment_index_lists_the_registry_and_resolves_its_modules() {
+    let mut ids = Vec::new();
+    let mut missing = Vec::new();
+    let index = section("3. Experiment index");
+    for row in index
+        .lines()
+        .filter(|l| l.starts_with("| ") && !l.starts_with("| ID "))
+    {
+        let cells: Vec<&str> = row.trim_matches('|').split(" | ").map(str::trim).collect();
+        ids.push(cells[0]);
+        // `crate::module`, `crate::{a,b}` and `experiments::module` paths
+        // in the module column; `crate::*` names a whole crate.
+        for path in cells[3].split('`').skip(1).step_by(2) {
+            let Some((head, tail)) = path.split_once("::") else {
+                continue;
+            };
+            let (krate, dir) = match head {
+                "experiments" => ("harness", "experiments/"),
+                _ => (head, ""),
+            };
+            for m in tail.trim_matches(['{', '}']).split(',') {
+                let file = crate_src(krate).join(format!("{dir}{m}.rs"));
+                if !(file.exists() || (m == "*" && crate_src(krate).is_dir())) {
+                    missing.push(format!("{}: `{path}`", cells[0]));
+                }
+            }
+        }
+    }
+    let registry: Vec<&str> = chrono_repro::harness::experiments::EXPERIMENTS
+        .iter()
+        .map(|(id, _)| *id)
+        .collect();
+    assert_eq!(ids, registry, "DESIGN.md §3 IDs differ from EXPERIMENTS");
+    assert!(
+        missing.is_empty(),
+        "DESIGN.md §3 names missing modules: {missing:?}"
+    );
 }

@@ -7,9 +7,8 @@
 use chrono_repro::sim_clock::Nanos;
 use chrono_repro::tiered_mem::FaultPlan;
 use chrono_repro::tiering_verify::{
-    determinism_digests, golden, run_policy_case, run_policy_case_with_plan, run_sharded_case,
-    run_sharded_case_permuted, run_sharded_case_with_plans, PolicyKind, Topology, CHAIN_POLICIES,
-    SHARD_GOLDEN_TENANTS,
+    determinism_digests, golden, run_policy_case, run_policy_case_with_plan, PolicyKind,
+    ShardedCase, Topology, CHAIN_POLICIES, SHARD_GOLDEN_TENANTS,
 };
 
 /// Parses one golden table line: `<policy> <digest-hex> <accesses> [tenant
@@ -72,7 +71,12 @@ fn sharded_compat_reproduces_committed_goldens() {
             let (name, digest, accesses, _) = parse_golden_line(line);
             let p = PolicyKind::FUZZED[i];
             assert_eq!(p.id(), name, "golden table order drifted");
-            let r = run_sharded_case(p, seed, golden::GOLDEN_MILLIS, 1, 2, false);
+            let r = ShardedCase {
+                threads: 2,
+                admission_slots: None,
+                ..ShardedCase::new(p, seed, golden::GOLDEN_MILLIS, 1)
+            }
+            .run();
             assert_eq!(
                 r.combined_digest, digest,
                 "{name}/{seed:#x}: sharded compat digest diverged from committed golden"
@@ -101,14 +105,11 @@ fn shard_goldens_are_thread_invariant() {
             let p = PolicyKind::FUZZED[i];
             assert_eq!(p.id(), name, "shard golden table order drifted");
             for threads in [1usize, 2, 8] {
-                let r = run_sharded_case(
-                    p,
-                    seed,
-                    golden::SHARD_GOLDEN_MILLIS,
-                    SHARD_GOLDEN_TENANTS,
+                let r = ShardedCase {
                     threads,
-                    true,
-                );
+                    ..ShardedCase::new(p, seed, golden::SHARD_GOLDEN_MILLIS, SHARD_GOLDEN_TENANTS)
+                }
+                .run();
                 assert_eq!(
                     r.combined_digest, digest,
                     "{name}/{seed:#x} at {threads} threads: combined digest diverged"
@@ -142,15 +143,12 @@ fn shard_goldens_survive_permuted_step_order() {
             let p = PolicyKind::FUZZED[i];
             assert_eq!(p.id(), name, "shard golden table order drifted");
             for (permute, threads) in [(0x9E_0001u64, 1usize), (0x9E_0002, 2)] {
-                let r = run_sharded_case_permuted(
-                    p,
-                    seed,
-                    golden::SHARD_GOLDEN_MILLIS,
-                    SHARD_GOLDEN_TENANTS,
+                let r = ShardedCase {
                     threads,
-                    true,
-                    permute,
-                );
+                    permute_seed: Some(permute),
+                    ..ShardedCase::new(p, seed, golden::SHARD_GOLDEN_MILLIS, SHARD_GOLDEN_TENANTS)
+                }
+                .run();
                 assert_eq!(
                     r.combined_digest, digest,
                     "{name}/{seed:#x} permuted by {permute:#x} at {threads} threads: \
@@ -207,18 +205,19 @@ fn three_tier_goldens_match_recomputation() {
 #[test]
 fn faulty_multi_tenant_replay_is_thread_invariant() {
     let horizon = Nanos::from_millis(RUN_MILLIS);
-    let plan_for =
-        move |id: u32| (id == 1).then(|| FaultPlan::canonical(0xFA_0002 ^ id as u64, horizon));
+    let case = ShardedCase {
+        admission_slots: Some(32),
+        fault_plans: (0..4u64)
+            .map(|id| (id == 1).then(|| FaultPlan::canonical(0xFA_0002 ^ id, horizon)))
+            .collect(),
+        ..ShardedCase::new(PolicyKind::Chrono, 0xFA_0002, RUN_MILLIS, 4)
+    };
     let run = |threads: usize| {
-        run_sharded_case_with_plans(
-            PolicyKind::Chrono,
-            0xFA_0002,
-            RUN_MILLIS,
-            4,
+        ShardedCase {
             threads,
-            Some(32),
-            &plan_for,
-        )
+            ..case.clone()
+        }
+        .run()
     };
     let (one, eight, replay) = (run(1), run(8), run(8));
     assert_eq!(one.combined_digest, eight.combined_digest);

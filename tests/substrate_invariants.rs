@@ -10,8 +10,9 @@
 
 use chrono_repro::sim_clock::DetRng;
 use chrono_repro::tiered_mem::PageSize;
-use chrono_repro::tiering_verify::ops::{fuzz_ops, generate_ops};
-use chrono_repro::tiering_verify::{fuzz_one, CaseConfig};
+use chrono_repro::tiering_verify::ops::fuzz_ops;
+use chrono_repro::tiering_verify::profile::CLEAN_MIX;
+use chrono_repro::tiering_verify::{CaseConfig, CLEAN};
 
 const CASES: u64 = 256;
 
@@ -23,8 +24,8 @@ const OPS: usize = 500;
 #[test]
 fn random_op_sequences_preserve_invariants() {
     for seed in 0..CASES {
-        if let Some(shrunk) = fuzz_one(0x5EED_0000 + seed, OPS) {
-            panic!("substrate invariant violated:\n{shrunk}");
+        if let Some(failure) = CLEAN.run(0x5EED_0000 + seed, OPS as u64).failure {
+            panic!("substrate invariant violated:\n{failure}");
         }
     }
 }
@@ -49,7 +50,7 @@ fn huge_mappings_preserve_block_integrity() {
             },
             fault_plan: None,
         };
-        let ops = generate_ops(&cfg, 0x8006_0000 + seed, OPS);
+        let ops = CLEAN_MIX.generate(&cfg, 0x8006_0000 + seed, OPS);
         if let Some(shrunk) = fuzz_ops(0x8006_0000 + seed, &cfg, ops) {
             panic!("huge-block invariant violated:\n{shrunk}");
         }
