@@ -19,10 +19,13 @@ use std::collections::VecDeque;
 
 use sim_clock::{DetRng, Nanos};
 use tiered_mem::{
-    scan_budget_pages, AccessResult, LruKind, MigrateError, MigrateMode, MigrationFailure,
-    PageFlags, ProcessId, TierId, TieredSystem, Vpn, BASE_PAGE_BYTES, HUGE_2M_PAGES,
+    AccessResult, LruKind, MigrateError, MigrateMode, MigrationFailure, PageFlags, ProcessId,
+    TierId, TieredSystem, Vpn, BASE_PAGE_BYTES, HUGE_2M_PAGES,
 };
-use tiering_policies::{decode_token, encode_token, ScanCursor, TieringPolicy};
+use tiering_policies::{
+    age_tier, decode_token, demote_until, encode_token, lower_tier_headroom, ScanCursor,
+    TieringPolicy,
+};
 use tiering_trace::{PolicyTraceState, TraceEvent};
 
 use crate::candidates::CandidateSet;
@@ -528,29 +531,22 @@ impl ChronoPolicy {
 
     fn ticking_scan(&mut self, sys: &mut TieredSystem, pid: ProcessId) {
         let lower = self.lower;
-        let cur = &mut self.cursors[pid.0 as usize];
+        let token = encode_token(EV_SCAN, pid.0, self.tag);
         let stamp = now_us(sys.clock.now());
-        let mut visited = 0u64;
-        cur.cursor = sys
-            .process_mut(pid)
-            .space
-            .walk_range(cur.cursor, cur.step_pages, |_, e| {
-                visited += 1;
-                // Only lower-tier pages are unmap-tracked by the Ticking-scan;
-                // upper-tier CIT statistics come from DCSC probes.
-                if e.tier() == lower && !e.flags.has(PageFlags::PROT_NONE) {
-                    e.flags.set(PageFlags::PROT_NONE);
-                    e.policy_word = stamp;
-                }
-            });
+        let visited = self.cursors[pid.0 as usize].step(sys, pid, token, |_, e| {
+            // Only lower-tier pages are unmap-tracked by the Ticking-scan;
+            // upper-tier CIT statistics come from DCSC probes.
+            if e.tier() == lower && !e.flags.has(PageFlags::PROT_NONE) {
+                e.flags.set(PageFlags::PROT_NONE);
+                e.policy_word = stamp;
+            }
+        });
         sys.charge_scan(pid, visited.max(1));
         let now = sys.clock.now();
         sys.trace.emit(now, || TraceEvent::Scan {
             pid: pid.0,
             visited,
         });
-        let interval = cur.event_interval;
-        sys.schedule_in(interval, encode_token(EV_SCAN, pid.0, self.tag));
     }
 
     // ----- Fault paths -----------------------------------------------------
@@ -877,37 +873,29 @@ impl ChronoPolicy {
     }
 
     fn proactive_demote(&mut self, sys: &mut TieredSystem) {
-        // Age the upper-tier LRU at scan-period timescale so the inactive
-        // list reflects period-granularity coldness.
-        let age_budget = scan_budget_pages(
-            sys.total_frames(self.upper),
+        age_tier(
+            sys,
+            self.upper,
             self.cfg.demote_interval,
             self.cfg.scan_period,
         );
-        sys.age_active_list(self.upper, age_budget.max(16));
         // cgroup memory limits first: reclaim slow-tier pages of confined
         // processes to swap, keeping hot fast-tier placement intact. This
         // is global work, so in a cascade only the top pair runs it.
         if self.upper == TierId::FAST {
             self.limits.enforce(sys, 512);
         }
-        // The system watermarks are sized for the top tier; deeper pairs of
-        // a cascade hold a fixed 1/32 free-frame headroom on their upper
-        // tier instead so one-hop promotions from below always find room.
+        // The top pair demotes from the `high` watermark down to `pro`;
+        // deeper pairs of a cascade hold the lower-tier headroom instead.
         let (high, target) = if self.upper == TierId::FAST {
             (sys.watermarks.high, sys.watermarks.pro)
         } else {
-            let h = (sys.total_frames(self.upper) / 32).max(1);
+            let h = lower_tier_headroom(sys, self.upper);
             (h, h)
         };
         if sys.free_frames(self.upper) < high {
             let stamp = now_us(sys.clock.now());
-            let mut budget = 4096u32;
-            while sys.free_frames(self.upper) < target && budget > 0 {
-                budget -= 1;
-                let Some((vp, vv)) = sys.pop_inactive_victim(self.upper) else {
-                    break;
-                };
+            demote_until(sys, self.upper, target, 4096, |sys, vp, vv| {
                 if sys.migrate(vp, vv, self.lower, MigrateMode::Async).is_ok() {
                     // Arm the thrashing monitor: flag, re-poison, and let the
                     // demotion timestamp stand in for the scan timestamp.
@@ -916,7 +904,7 @@ impl ChronoPolicy {
                     e.policy_word = stamp;
                     self.candidates.remove(vp, vv);
                 }
-            }
+            });
         }
         sys.schedule_in(
             self.cfg.demote_interval,
@@ -1304,16 +1292,9 @@ impl TieringPolicy for ChronoPolicy {
     }
 
     fn init(&mut self, sys: &mut TieredSystem) {
-        self.cursors.clear();
-        for pid in sys.pids().collect::<Vec<_>>() {
-            let pages = sys.process(pid).space.pages();
-            let cursor = ScanCursor::new(pages, self.cfg.scan_step_pages, self.cfg.scan_period);
-            sys.schedule_in(
-                cursor.event_interval,
-                encode_token(EV_SCAN, pid.0, self.tag),
-            );
-            self.cursors.push(cursor);
-        }
+        let cfg = &self.cfg;
+        self.cursors =
+            ScanCursor::arm(sys, cfg.scan_step_pages, cfg.scan_period, EV_SCAN, self.tag);
         sys.schedule_in(
             self.cfg.migrate_interval,
             encode_token(EV_MIGRATE, 0, self.tag),

@@ -9,8 +9,8 @@
 //! ```
 //!
 //! `verify` runs the differential determinism check for every policy, the
-//! metamorphic relations, and the golden-trace snapshots (`--bless` rewrites
-//! the snapshots instead of diffing them). `fuzz` sweeps seeds of one
+//! metamorphic relations, the golden-trace snapshots (`--bless` rewrites
+//! the snapshots instead of diffing them) and the pinned fleet digests. `fuzz` sweeps seeds of one
 //! profile of `tiering_verify::PROFILES` (the clean substrate profile by
 //! default; each other row names its flag and says what it exercises):
 //! failures are shrunk or listed, and the sweep fails if a counter its row
@@ -22,10 +22,50 @@
 use tiering_verify::profile::{self_test, Case, Length};
 use tiering_verify::{
     bless_goldens, check_goldens, determinism_digests, metamorphic, FuzzProfile, GoldenStatus,
-    PolicyKind, CLEAN, PROFILES,
+    PolicyKind, Topology, CLEAN, PROFILES,
 };
 
 use crate::take_bool_flag;
+use crate::tenants::{run_fleet, FleetConfig};
+
+/// Combined digests of `harness run --tenants 64 --millis 20 --threads 1
+/// --topology T --policy P`, one row per chain shape, one column per
+/// [`PolicyKind::FUZZED`] kind in that order. A fleet exercises the
+/// partition, admission and barrier code that no golden file runs at this
+/// tenant count, so a change that moves any of these is a behaviour change.
+/// `--bless` leaves them alone: such a change edits this table.
+const FLEET_DIGESTS: [(Topology, [u64; 10]); 2] = [
+    (
+        Topology::DramPmem,
+        [
+            0xd3e7f2bb1b347b3d,
+            0xde107351e70f9222,
+            0xda2094caf89549e7,
+            0x09e7d83ee51be4d9,
+            0x97c8ce91a35374d0,
+            0xd877efdc6d2c8274,
+            0x7583d5ec6bcb8af8,
+            0x6bf59438edf00d67,
+            0xe05cc98394861826,
+            0xe9b3ed43a891d4a1,
+        ],
+    ),
+    (
+        Topology::ThreeTier,
+        [
+            0xbf4cfb9c80288e7d,
+            0xf3f6dece4fe92718,
+            0x571f4c599d29047f,
+            0x4d3638c983cad594,
+            0xf51f1ed49ed10c02,
+            0xcfdd872b2e7e95c8,
+            0x613a4fd02ebc643e,
+            0xd7bacd6e47205597,
+            0x4f52d1997e6d0231,
+            0xf554abe8a1b812e2,
+        ],
+    ),
+];
 
 /// Parses `--flag N` (decimal or `0x` hex) out of `args`; `None` when
 /// absent.
@@ -99,6 +139,28 @@ pub fn run_verify(mut args: Vec<String>) -> i32 {
                 failed = true;
             }
             println!("{result}");
+        }
+    }
+
+    // 4. Pinned fleet digests.
+    for (topology, digests) in FLEET_DIGESTS {
+        for (policy, want) in PolicyKind::FUZZED.into_iter().zip(digests) {
+            let cfg = FleetConfig {
+                tenants: 64,
+                threads: 1,
+                policy,
+                millis: 20,
+                topology,
+                ..FleetConfig::default()
+            };
+            let got = run_fleet(&cfg).combined_digest();
+            let (name, id) = (topology.name(), policy.id());
+            if got == want {
+                println!("fleet {name:<10} {id:<16} ok ({got:016x})");
+            } else {
+                println!("fleet {name:<10} {id:<16} FAILED: {got:016x}, pinned {want:016x}");
+                failed = true;
+            }
         }
     }
 

@@ -58,26 +58,6 @@ impl FramePartition {
         debug_assert!(local < self.frames(tier), "local PFN outside partition");
         self.bases[tier.index()] + local as u64
     }
-
-    /// Fast-tier (tier 0) frame count — two-tier compat accessor.
-    pub fn fast_frames(&self) -> u32 {
-        self.frames(TierId::FAST)
-    }
-
-    /// Slow-tier (tier 1) frame count — two-tier compat accessor.
-    pub fn slow_frames(&self) -> u32 {
-        self.frames(TierId::SLOW)
-    }
-
-    /// Translates a shard-local fast-tier PFN to its global frame number.
-    pub fn global_fast_pfn(&self, local: u32) -> u64 {
-        self.global_pfn(TierId::FAST, local)
-    }
-
-    /// Translates a shard-local slow-tier PFN to its global frame number.
-    pub fn global_slow_pfn(&self, local: u32) -> u64 {
-        self.global_pfn(TierId::SLOW, local)
-    }
 }
 
 /// A deterministic partitioning of the global frame pools across tenants.
@@ -213,17 +193,6 @@ impl PartitionPlan {
         PartitionPlan::split_tiers_inner(&totals, weights, Some(offline))
     }
 
-    /// Two-tier compat: splits `total_fast`/`total_slow` frames across
-    /// `weights.len()` tenants.
-    pub fn split_weighted(total_fast: u32, total_slow: u32, weights: &[u64]) -> PartitionPlan {
-        PartitionPlan::split_weighted_tiers(&[total_fast, total_slow], weights)
-    }
-
-    /// Even split: every tenant weighted equally.
-    pub fn split_even(total_fast: u32, total_slow: u32, tenants: usize) -> PartitionPlan {
-        PartitionPlan::split_weighted(total_fast, total_slow, &vec![1u64; tenants])
-    }
-
     /// Number of tenant partitions.
     pub fn tenants(&self) -> usize {
         self.parts.len()
@@ -248,16 +217,6 @@ impl PartitionPlan {
     pub fn total(&self, tier: TierId) -> u32 {
         debug_assert!(tier.index() < self.num_tiers());
         self.totals[tier.index()]
-    }
-
-    /// Global fast-tier frames the plan was built over.
-    pub fn total_fast(&self) -> u32 {
-        self.total(TierId::FAST)
-    }
-
-    /// Global slow-tier (tier 1) frames the plan was built over.
-    pub fn total_slow(&self) -> u32 {
-        self.total(TierId::SLOW)
     }
 
     /// Whether the partitions are contiguous, disjoint, and exhaustive —
@@ -287,53 +246,52 @@ impl PartitionPlan {
 mod tests {
     use super::*;
 
+    const FAST: TierId = TierId::FAST;
+    const SLOW: TierId = TierId::SLOW;
+
     #[test]
     fn even_split_conserves_and_covers() {
-        let plan = PartitionPlan::split_even(1000, 3000, 7);
+        let plan = PartitionPlan::split_weighted_tiers(&[1000, 3000], &[1; 7]);
         assert_eq!(plan.tenants(), 7);
         assert_eq!(plan.num_tiers(), 2);
-        assert!(plan.covers_exactly());
-        let fast: u64 = plan.parts().iter().map(|p| p.fast_frames() as u64).sum();
-        let slow: u64 = plan.parts().iter().map(|p| p.slow_frames() as u64).sum();
-        assert_eq!(fast, 1000);
-        assert_eq!(slow, 3000);
+        assert_capacity_identity(&plan);
+        assert_eq!((plan.total(FAST), plan.total(SLOW)), (1000, 3000));
         // Even weights: shares differ by at most one frame.
-        let min = plan.parts().iter().map(|p| p.fast_frames()).min().unwrap();
-        let max = plan.parts().iter().map(|p| p.fast_frames()).max().unwrap();
-        assert!(max - min <= 1);
+        let fast = plan.parts().iter().map(|p| p.frames(FAST));
+        assert!(fast.clone().max().unwrap() - fast.min().unwrap() <= 1);
     }
 
     #[test]
     fn weighted_split_is_proportional_with_floor() {
         let weights = [100u64, 1, 1, 1];
-        let plan = PartitionPlan::split_weighted(1024, 4096, &weights);
+        let plan = PartitionPlan::split_weighted_tiers(&[1024, 4096], &weights);
         assert!(plan.covers_exactly());
         for p in plan.parts() {
-            assert!(p.fast_frames() >= MIN_FAST_FRAMES);
-            assert!(p.slow_frames() >= MIN_SLOW_FRAMES);
+            assert!(p.frames(FAST) >= MIN_FAST_FRAMES);
+            assert!(p.frames(SLOW) >= MIN_SLOW_FRAMES);
         }
         // The heavy tenant dominates the spare pool beyond the floors.
-        assert!(plan.part(0).fast_frames() > 900);
+        assert!(plan.part(0).frames(FAST) > 900);
     }
 
     #[test]
     fn split_is_deterministic() {
         let weights = [3u64, 1, 4, 1, 5, 9, 2, 6];
-        let a = PartitionPlan::split_weighted(2048, 6144, &weights);
-        let b = PartitionPlan::split_weighted(2048, 6144, &weights);
+        let a = PartitionPlan::split_weighted_tiers(&[2048, 6144], &weights);
+        let b = PartitionPlan::split_weighted_tiers(&[2048, 6144], &weights);
         assert_eq!(a.parts(), b.parts());
     }
 
     #[test]
     fn global_pfns_are_disjoint_across_tenants() {
-        let plan = PartitionPlan::split_even(64, 128, 3);
+        let plan = PartitionPlan::split_weighted_tiers(&[64, 128], &[1; 3]);
         let mut seen = std::collections::BTreeSet::new();
         for p in plan.parts() {
-            for l in 0..p.fast_frames() {
-                assert!(seen.insert(("fast", p.global_fast_pfn(l))));
+            for l in 0..p.frames(FAST) {
+                assert!(seen.insert(("fast", p.global_pfn(FAST, l))));
             }
-            for l in 0..p.slow_frames() {
-                assert!(seen.insert(("slow", p.global_slow_pfn(l))));
+            for l in 0..p.frames(SLOW) {
+                assert!(seen.insert(("slow", p.global_pfn(SLOW, l))));
             }
         }
         assert_eq!(seen.len(), 64 + 128);
@@ -342,7 +300,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "floor")]
     fn underprovisioned_pool_panics() {
-        PartitionPlan::split_even(MIN_FAST_FRAMES * 2 - 1, 4096, 2);
+        PartitionPlan::split_weighted_tiers(&[MIN_FAST_FRAMES * 2 - 1, 4096], &[1; 2]);
     }
 
     /// Asserts the capacity identity for a plan: contiguous/disjoint/
@@ -361,18 +319,18 @@ mod tests {
         // Zero weights behave as one: the tenant is not starved below the
         // floor, and the capacity identity still holds exactly.
         let weights = [0u64, 7, 0, 7];
-        let plan = PartitionPlan::split_weighted(1024, 4096, &weights);
+        let plan = PartitionPlan::split_weighted_tiers(&[1024, 4096], &weights);
         assert_capacity_identity(&plan);
         for p in plan.parts() {
-            assert!(p.fast_frames() >= MIN_FAST_FRAMES);
-            assert!(p.slow_frames() >= MIN_SLOW_FRAMES);
+            assert!(p.frames(FAST) >= MIN_FAST_FRAMES);
+            assert!(p.frames(SLOW) >= MIN_SLOW_FRAMES);
         }
         // Zero behaves as weight 1, so both zero-weight tenants receive the
         // same share and strictly less than the weight-7 tenants.
-        assert_eq!(plan.part(0).fast_frames(), plan.part(2).fast_frames());
-        assert!(plan.part(0).fast_frames() < plan.part(1).fast_frames());
+        assert_eq!(plan.part(0).frames(FAST), plan.part(2).frames(FAST));
+        assert!(plan.part(0).frames(FAST) < plan.part(1).frames(FAST));
         // And identically to an explicit weight-1 plan.
-        let ones = PartitionPlan::split_weighted(1024, 4096, &[1, 7, 1, 7]);
+        let ones = PartitionPlan::split_weighted_tiers(&[1024, 4096], &[1, 7, 1, 7]);
         assert_eq!(plan.parts(), ones.parts());
     }
 
@@ -383,19 +341,23 @@ mod tests {
         // nothing is lost to rounding.
         let weights = [1000u64, 1, 1];
         let n = weights.len() as u32;
-        let plan =
-            PartitionPlan::split_weighted(MIN_FAST_FRAMES * n, MIN_SLOW_FRAMES * n, &weights);
+        let plan = PartitionPlan::split_weighted_tiers(
+            &[MIN_FAST_FRAMES * n, MIN_SLOW_FRAMES * n],
+            &weights,
+        );
         assert_capacity_identity(&plan);
         for p in plan.parts() {
-            assert_eq!(p.fast_frames(), MIN_FAST_FRAMES);
-            assert_eq!(p.slow_frames(), MIN_SLOW_FRAMES);
+            assert_eq!(p.frames(FAST), MIN_FAST_FRAMES);
+            assert_eq!(p.frames(SLOW), MIN_SLOW_FRAMES);
         }
         // One spare frame past the floors lands on the heaviest tenant.
-        let plus_one =
-            PartitionPlan::split_weighted(MIN_FAST_FRAMES * n + 1, MIN_SLOW_FRAMES * n, &weights);
+        let plus_one = PartitionPlan::split_weighted_tiers(
+            &[MIN_FAST_FRAMES * n + 1, MIN_SLOW_FRAMES * n],
+            &weights,
+        );
         assert_capacity_identity(&plus_one);
-        assert_eq!(plus_one.part(0).fast_frames(), MIN_FAST_FRAMES + 1);
-        assert_eq!(plus_one.part(1).fast_frames(), MIN_FAST_FRAMES);
+        assert_eq!(plus_one.part(0).frames(FAST), MIN_FAST_FRAMES + 1);
+        assert_eq!(plus_one.part(1).frames(FAST), MIN_FAST_FRAMES);
     }
 
     #[test]
@@ -403,13 +365,13 @@ mod tests {
         // One tenant owns the whole pool: bases at zero, shares equal to the
         // totals, capacity identity trivially exact — the shape the classic
         // single-tenant compat path builds.
-        let plan = PartitionPlan::split_weighted(777, 2048, &[5]);
+        let plan = PartitionPlan::split_weighted_tiers(&[777, 2048], &[5]);
         assert_capacity_identity(&plan);
         let p = plan.part(0);
         assert_eq!((p.base(TierId::FAST), p.base(TierId::SLOW)), (0, 0));
-        assert_eq!((p.fast_frames(), p.slow_frames()), (777, 2048));
-        assert_eq!(p.global_fast_pfn(776), 776);
-        assert_eq!(p.global_slow_pfn(2047), 2047);
+        assert_eq!((p.frames(FAST), p.frames(SLOW)), (777, 2048));
+        assert_eq!(p.global_pfn(FAST, 776), 776);
+        assert_eq!(p.global_pfn(SLOW, 2047), 2047);
     }
 
     #[test]
@@ -471,7 +433,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "tenant count")]
     fn resplit_excluding_rejects_tenant_count_change() {
-        let plan = PartitionPlan::split_even(256, 512, 3);
+        let plan = PartitionPlan::split_weighted_tiers(&[256, 512], &[1; 3]);
         plan.resplit_excluding(TierId(1), &[1, 1]);
     }
 
@@ -490,10 +452,5 @@ mod tests {
             assert!(a.frames(t) > b.frames(t), "weight-2 tenant gets more");
         }
         assert_eq!(plan.total(cold), 512);
-        // The compat 2-tier shape is exactly the generalized call with two
-        // totals.
-        let two = PartitionPlan::split_weighted(128, 256, &weights);
-        let gen = PartitionPlan::split_weighted_tiers(&[128, 256], &weights);
-        assert_eq!(two.parts(), gen.parts());
     }
 }

@@ -33,7 +33,7 @@ pub struct SystemStats {
     pub demoted_per_edge: [u64; MAX_TIERS - 1],
     /// Promotion attempts that failed for lack of fast-tier space.
     pub failed_promotions: u64,
-    /// Victim demotions inside `promote_with_reclaim` that failed.
+    /// Victim demotions inside `promote_with_reclaim_to` that failed.
     pub failed_demotions: u64,
     /// Failed promotion (up-edge) migrate attempts by reason, indexed by
     /// `MigrateError::index` — one cell per entry of

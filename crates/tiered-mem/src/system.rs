@@ -494,11 +494,6 @@ impl TieredSystem {
         self.frames[tier.index()].is_quarantined(pfn)
     }
 
-    /// Fast-tier frames a capacity shrink still owes (taken as they free up).
-    pub fn shrink_debt(&self) -> u32 {
-        self.shrink_debt[TierId::FAST.index()]
-    }
-
     /// Frames a capacity shrink still owes on `tier`.
     pub fn tier_shrink_debt(&self, tier: TierId) -> u32 {
         self.shrink_debt[tier.index()]
@@ -1059,7 +1054,7 @@ impl TieredSystem {
     /// Counts a failed migration attempt. Promotion failures feed the
     /// per-reason table (`NoSpace` additionally keeps the historical
     /// `failed_promotions` counter); demotion failures are the caller's to
-    /// classify (see [`TieredSystem::promote_with_reclaim`]).
+    /// classify (see [`TieredSystem::promote_with_reclaim_to`]).
     fn fail_migrate<T>(&mut self, to: TierId, err: MigrateError) -> Result<T, MigrateError> {
         if to == TierId::FAST {
             self.stats.failed_fast_migrations[err.index()] += 1;
@@ -2020,18 +2015,6 @@ impl TieredSystem {
         self.engine.reserved_frames(tier)
     }
 
-    /// Promotes a unit to the fast tier, demoting inactive victims first if
-    /// the fast tier lacks space. Victim demotions are charged in the same
-    /// mode. Returns pages promoted.
-    pub fn promote_with_reclaim(
-        &mut self,
-        pid: ProcessId,
-        vpn: Vpn,
-        mode: MigrateMode,
-    ) -> Result<u32, MigrateError> {
-        self.promote_with_reclaim_to(pid, vpn, TierId::FAST, mode)
-    }
-
     /// Promotes a unit one hop up into tier `to`, demoting inactive victims
     /// of `to` one hop further down first if `to` lacks space — the cascade
     /// step a chained policy runs per adjacent pair. Victim demotions are
@@ -2299,7 +2282,7 @@ mod tests {
             v += 1;
         }
         let demoted_before = sys.stats.demoted_pages;
-        let r = sys.promote_with_reclaim(pid, Vpn(v), MigrateMode::Async);
+        let r = sys.promote_with_reclaim_to(pid, Vpn(v), TierId::FAST, MigrateMode::Async);
         assert_eq!(r, Ok(1));
         assert!(sys.stats.demoted_pages > demoted_before);
         assert_eq!(sys.process(pid).space.entry(Vpn(v)).tier(), TierId::FAST);
@@ -2778,7 +2761,7 @@ mod tests {
         }
         assert_eq!(sys.free_frames(TierId::FAST), 0);
         assert_eq!(sys.free_frames(TierId::SLOW), 0);
-        let r = sys.promote_with_reclaim(pid, Vpn(60), MigrateMode::Async);
+        let r = sys.promote_with_reclaim_to(pid, Vpn(60), TierId::FAST, MigrateMode::Async);
         assert_eq!(r, Err(MigrateError::NoSpace));
         // The attempt budget is 4 × unit; every victim demotion failed with
         // NoSpace and was counted instead of silently dropped.
@@ -3230,7 +3213,7 @@ mod tests {
         assert_eq!(sys.total_frames(TierId::FAST), 48);
         assert_eq!(sys.offlined_frames(TierId::FAST), 16);
         assert_eq!(sys.stats.offlined_frames, 16);
-        assert_eq!(sys.shrink_debt(), 0);
+        assert_eq!(sys.tier_shrink_debt(TierId::FAST), 0);
         assert!(sys.watermarks.well_ordered());
         assert!(sys.watermarks.pro <= (48u32 / 4).max(sys.watermarks.high));
         let _ = wm_before;
@@ -3250,7 +3233,7 @@ mod tests {
         // 56 fast frames used, 8 free; ask for more than the free pool.
         let got = sys.shrink_tier(TierId::FAST, 20);
         assert_eq!(got, 8);
-        assert_eq!(sys.shrink_debt(), 12);
+        assert_eq!(sys.tier_shrink_debt(TierId::FAST), 12);
         assert_eq!(sys.total_frames(TierId::FAST), 56);
         // Demote pages; the pump retires debt from the freed frames.
         for i in 0..12 {
@@ -3258,7 +3241,7 @@ mod tests {
                 .unwrap();
         }
         sys.complete_due_migrations();
-        assert_eq!(sys.shrink_debt(), 0);
+        assert_eq!(sys.tier_shrink_debt(TierId::FAST), 0);
         assert_eq!(sys.offlined_frames(TierId::FAST), 20);
         assert_eq!(sys.total_frames(TierId::FAST), 44);
         assert_eq!(sys.stats.offlined_frames, 20);

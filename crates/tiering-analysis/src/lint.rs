@@ -26,24 +26,15 @@ pub const RESTRICTED_CRATES: [&str; 5] = [
     "workloads",
 ];
 
-/// Individual files outside the restricted crates that the determinism
-/// rules also cover: the shard/tenant modules whose code runs (or feeds)
-/// the parallel shard-step phase. `harness` as a crate stays unrestricted
-/// (it times real wall-clock runs), but its fleet runner is shard-era code,
-/// and the tier-chaos sharded driver in tiering-verify schedules the tier
-/// events every shard must observe at the same barrier.
+/// The shard/tenant modules whose code runs (or feeds) the parallel
+/// shard-step phase and participates in the barrier protocol. The
+/// determinism rules cover them on top of the restricted crates, and the
+/// chrono-race rules (`rng-stream` mutable-RNG audit, `barrier-phase`
+/// callgraph audit) apply to them alone. `harness` as a crate stays
+/// unrestricted (it times real wall-clock runs), but its fleet runner is
+/// shard-era code, and the tier-chaos sharded driver in tiering-verify
+/// schedules the tier events every shard must observe at the same barrier.
 pub const RESTRICTED_FILES: [&str; 4] = [
-    "crates/tiering-policies/src/shard.rs",
-    "crates/tiered-mem/src/partition.rs",
-    "crates/harness/src/tenants.rs",
-    "crates/tiering-verify/src/sharded.rs",
-];
-
-/// Files whose code participates in the barrier protocol: the chrono-race
-/// rules (`rng-stream` mutable-RNG audit, `barrier-phase` callgraph audit)
-/// apply here. A superset relationship with [`RESTRICTED_FILES`] is not
-/// required but currently holds.
-pub const BARRIER_PHASE_FILES: [&str; 4] = [
     "crates/tiering-policies/src/shard.rs",
     "crates/tiered-mem/src/partition.rs",
     "crates/harness/src/tenants.rs",
@@ -60,8 +51,8 @@ pub const BARRIER_ONLY_MUTATORS: [&str; 6] = [
     "apply",
     "set_inflight_slots",
     "trace_admission",
-    "split_weighted",
-    "split_even",
+    "split_weighted_tiers",
+    "resplit_excluding",
 ];
 
 /// Function names treated as entry points of the parallel shard-step phase
@@ -595,9 +586,8 @@ fn barrier_phase_audit(code_lines: &[String]) -> Vec<(usize, String)> {
 /// tests may freely use wall clocks, hash iteration, and fixture casts.
 pub fn lint_source(crate_name: &str, rel_path: &str, source: &str) -> Vec<Finding> {
     let lines: Vec<&str> = source.lines().collect();
-    let restricted =
-        RESTRICTED_CRATES.contains(&crate_name) || RESTRICTED_FILES.contains(&rel_path);
-    let barrier_phase = BARRIER_PHASE_FILES.contains(&rel_path);
+    let barrier_phase = RESTRICTED_FILES.contains(&rel_path);
+    let restricted = RESTRICTED_CRATES.contains(&crate_name) || barrier_phase;
     let is_page_rs = rel_path.ends_with("tiered-mem/src/page.rs");
     let test_start = lines
         .iter()
@@ -1397,21 +1387,24 @@ let b = DetRng::split(seed, 8);
     #[test]
     fn barrier_phase_flags_mutators_reachable_from_shard_step() {
         let src = "\
-fn step_to(&mut self) { self.tick(); }
+fn step_to(&mut self) { self.tick(); self.heal(); }
 fn tick(&mut self) { let g = admission_grants(4, &claims); }
 fn barrier(&mut self) { ctl.apply(1, 2); }
+fn heal(&mut self) { let p = plan.resplit_excluding(TierId(1), &w); }
 ";
         let hits = lint_source(
             "tiering-policies",
             "crates/tiering-policies/src/shard.rs",
             src,
         );
-        // `admission_grants` is transitively reachable from the step root;
-        // `apply` in the barrier fn is not reachable and stays legal.
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].rule, "barrier-phase");
-        assert_eq!(hits[0].line, 2);
+        // `admission_grants` and `resplit_excluding` are transitively
+        // reachable from the step root; `apply` in the barrier fn is not
+        // reachable and stays legal.
+        let lines: Vec<usize> = hits.iter().map(|h| h.line).collect();
+        assert_eq!(lines, [2, 4], "{hits:?}");
+        assert!(hits.iter().all(|h| h.rule == "barrier-phase"));
         assert!(hits[0].snippet.contains("admission_grants"));
+        assert!(hits[1].snippet.contains("resplit_excluding"));
     }
 
     #[test]
@@ -1422,7 +1415,7 @@ fn run(&mut self) {
         s.spawn(|| worker());
     });
 }
-fn worker() { let g = split_weighted(64, 128, &w); }
+fn worker() { let p = PartitionPlan::split_weighted_tiers(&[64, 128], &w); }
 ";
         let hits = lint_source(
             "tiering-policies",
@@ -1433,7 +1426,7 @@ fn worker() { let g = split_weighted(64, 128, &w); }
         assert_eq!(hits[0].rule, "barrier-phase");
         assert_eq!(hits[0].line, 6);
         // The same mutator outside any parallel span is legal.
-        let good = "fn barrier(&mut self) { let p = split_weighted(64, 128, &w); }\n";
+        let good = "fn barrier(&mut self) { let p = split_weighted_tiers(&[64, 128], &w); }\n";
         assert!(lint_source(
             "tiering-policies",
             "crates/tiering-policies/src/shard.rs",

@@ -10,11 +10,11 @@
 //! overhead of Fig 8).
 
 use sim_clock::Nanos;
-use tiered_mem::{
-    scan_budget_pages, AccessResult, MigrateMode, PageFlags, ProcessId, TierId, TieredSystem, Vpn,
-};
+use tiered_mem::{AccessResult, MigrateMode, PageFlags, ProcessId, TierId, TieredSystem, Vpn};
 
-use crate::policy::{decode_token, encode_token, ScanCursor, TieringPolicy};
+use crate::policy::{
+    age_tier, decode_token, demote_until, encode_token, ScanCursor, TieringPolicy,
+};
 
 const EV_SCAN: u16 = 1;
 const EV_DEMOTE: u16 = 2;
@@ -65,13 +65,8 @@ impl TieringPolicy for AutoTiering {
     }
 
     fn init(&mut self, sys: &mut TieredSystem) {
-        self.cursors.clear();
-        for pid in sys.pids().collect::<Vec<_>>() {
-            let pages = sys.process(pid).space.pages();
-            let cursor = ScanCursor::new(pages, self.cfg.scan_step_pages, self.cfg.scan_period);
-            sys.schedule_in(cursor.event_interval, encode_token(EV_SCAN, pid.0, 0));
-            self.cursors.push(cursor);
-        }
+        let cfg = &self.cfg;
+        self.cursors = ScanCursor::arm(sys, cfg.scan_step_pages, cfg.scan_period, EV_SCAN, 0);
         sys.schedule_in(self.cfg.demote_interval, encode_token(EV_DEMOTE, 0, 0));
     }
 
@@ -80,34 +75,26 @@ impl TieringPolicy for AutoTiering {
         match kind {
             EV_SCAN => {
                 let pid = ProcessId(pid_raw);
-                let cur = &mut self.cursors[pid_raw as usize];
-                let mut visited = 0u64;
-                cur.cursor =
-                    sys.process_mut(pid)
-                        .space
-                        .walk_range(cur.cursor, cur.step_pages, |_vpn, e| {
-                            // Shift the LAP vector; a fault during the coming
-                            // period will set bit 0.
-                            e.policy_extra = (e.policy_extra << 1) & 0xFF;
-                            e.flags.set(PageFlags::PROT_NONE);
-                            visited += 1;
-                        });
+                let visited = self.cursors[pid_raw as usize].step(sys, pid, token, |_, e| {
+                    // Shift the LAP vector; a fault during the coming period
+                    // will set bit 0.
+                    e.policy_extra = (e.policy_extra << 1) & 0xFF;
+                    e.flags.set(PageFlags::PROT_NONE);
+                });
                 // LAP maintenance is far costlier than a plain PTE visit:
                 // the vector update plus reshuffling pages across the
                 // per-level LAP lists (the overhead behind Auto-Tiering's
                 // 14 % kernel time in Fig 8, 2.2× the Linux-NB baseline).
                 sys.charge_scan(pid, visited.saturating_mul(6).max(1));
-                let interval = cur.event_interval;
-                sys.schedule_in(interval, encode_token(EV_SCAN, pid.0, 0));
             }
             EV_DEMOTE => {
                 // Age the LRU at scan-period timescale, then demote.
-                let age_budget = scan_budget_pages(
-                    sys.total_frames(TierId::FAST),
+                age_tier(
+                    sys,
+                    TierId::FAST,
                     self.cfg.demote_interval,
                     self.cfg.scan_period,
                 );
-                sys.age_active_list(TierId::FAST, age_budget.max(16));
                 // Background demotion (the BD in OPM-BD) keeps fast-tier
                 // headroom well above the plain watermarks so opportunistic
                 // promotions usually find a free frame.
@@ -115,16 +102,9 @@ impl TieringPolicy for AutoTiering {
                     .watermarks
                     .high
                     .saturating_add(sys.total_frames(TierId::FAST) / 32);
-                let mut budget = 128u32;
-                while sys.free_frames(TierId::FAST) < target && budget > 0 {
-                    budget -= 1;
-                    match sys.pop_inactive_victim(TierId::FAST) {
-                        Some((pid, vpn)) => {
-                            let _ = sys.migrate(pid, vpn, TierId::SLOW, MigrateMode::Async);
-                        }
-                        None => break,
-                    }
-                }
+                demote_until(sys, TierId::FAST, target, 128, |sys, pid, vpn| {
+                    let _ = sys.migrate(pid, vpn, TierId::SLOW, MigrateMode::Async);
+                });
                 sys.trace_period(Default::default());
                 sys.schedule_in(self.cfg.demote_interval, encode_token(EV_DEMOTE, 0, 0));
             }

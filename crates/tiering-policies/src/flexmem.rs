@@ -9,12 +9,12 @@
 //! describes it as "enhancing Memtis with timely migration decisions".
 
 use sim_clock::Nanos;
-use tiered_mem::{
-    scan_budget_pages, AccessResult, MigrateMode, PageFlags, ProcessId, TierId, TieredSystem, Vpn,
-};
+use tiered_mem::{AccessResult, MigrateMode, PageFlags, ProcessId, TierId, TieredSystem, Vpn};
 
 use crate::pebs::PebsSampler;
-use crate::policy::{decode_token, encode_token, ScanCursor, TieringPolicy};
+use crate::policy::{
+    age_tier, decode_token, demote_until, encode_token, promote_deferred, ScanCursor, TieringPolicy,
+};
 
 const EV_SCAN: u16 = 1;
 const EV_MIGRATE: u16 = 2;
@@ -84,13 +84,8 @@ impl TieringPolicy for FlexMem {
     }
 
     fn init(&mut self, sys: &mut TieredSystem) {
-        self.cursors.clear();
-        for pid in sys.pids().collect::<Vec<_>>() {
-            let pages = sys.process(pid).space.pages();
-            let cursor = ScanCursor::new(pages, self.cfg.scan_step_pages, self.cfg.scan_period);
-            sys.schedule_in(cursor.event_interval, encode_token(EV_SCAN, pid.0, 0));
-            self.cursors.push(cursor);
-        }
+        let cfg = &self.cfg;
+        self.cursors = ScanCursor::arm(sys, cfg.scan_step_pages, cfg.scan_period, EV_SCAN, 0);
         sys.schedule_in(self.cfg.migrate_interval, encode_token(EV_MIGRATE, 0, 0));
         sys.schedule_in(self.cfg.cooling_interval, encode_token(EV_COOL, 0, 0));
         sys.schedule_in(self.cfg.demote_interval, encode_token(EV_DEMOTE, 0, 0));
@@ -101,29 +96,15 @@ impl TieringPolicy for FlexMem {
         match kind {
             EV_SCAN => {
                 let pid = ProcessId(pid_raw);
-                let cur = &mut self.cursors[pid_raw as usize];
-                let mut visited = 0u64;
-                cur.cursor =
-                    sys.process_mut(pid)
-                        .space
-                        .walk_range(cur.cursor, cur.step_pages, |_vpn, e| {
-                            visited += 1;
-                            if e.tier() == TierId::SLOW {
-                                e.flags.set(PageFlags::PROT_NONE);
-                            }
-                        });
+                let visited = self.cursors[pid_raw as usize].step(sys, pid, token, |_, e| {
+                    if e.tier() == TierId::SLOW {
+                        e.flags.set(PageFlags::PROT_NONE);
+                    }
+                });
                 sys.charge_scan(pid, visited.max(1));
-                let interval = cur.event_interval;
-                sys.schedule_in(interval, encode_token(EV_SCAN, pid.0, 0));
             }
             EV_MIGRATE => {
-                for (pid, unit) in self.deferred.drain(..) {
-                    let e = sys.process_mut(pid).space.entry_mut(unit);
-                    e.flags.clear(PageFlags::CANDIDATE);
-                    if e.tier() == TierId::SLOW {
-                        let _ = sys.promote_with_reclaim(pid, unit, MigrateMode::Async);
-                    }
-                }
+                promote_deferred(sys, &mut self.deferred);
                 sys.schedule_in(self.cfg.migrate_interval, encode_token(EV_MIGRATE, 0, 0));
             }
             EV_COOL => {
@@ -138,28 +119,21 @@ impl TieringPolicy for FlexMem {
                 sys.schedule_in(self.cfg.cooling_interval, encode_token(EV_COOL, 0, 0));
             }
             EV_DEMOTE => {
-                let age_budget = scan_budget_pages(
-                    sys.total_frames(TierId::FAST),
+                age_tier(
+                    sys,
+                    TierId::FAST,
                     self.cfg.demote_interval,
                     self.cfg.scan_period,
                 );
-                sys.age_active_list(TierId::FAST, age_budget.max(16));
                 // Keep headroom above the plain watermarks so both the
                 // deferred drain and the timeliness faults find free frames.
                 let target = sys
                     .watermarks
                     .high
                     .saturating_add(sys.total_frames(TierId::FAST) / 32);
-                let mut budget = 128u32;
-                while sys.free_frames(TierId::FAST) < target && budget > 0 {
-                    budget -= 1;
-                    match sys.pop_inactive_victim(TierId::FAST) {
-                        Some((pid, vpn)) => {
-                            let _ = sys.migrate(pid, vpn, TierId::SLOW, MigrateMode::Async);
-                        }
-                        None => break,
-                    }
-                }
+                demote_until(sys, TierId::FAST, target, 128, |sys, pid, vpn| {
+                    let _ = sys.migrate(pid, vpn, TierId::SLOW, MigrateMode::Async);
+                });
                 sys.trace_period(Default::default());
                 sys.schedule_in(self.cfg.demote_interval, encode_token(EV_DEMOTE, 0, 0));
             }
@@ -188,7 +162,7 @@ impl TieringPolicy for FlexMem {
         let second_fault = e.flags.has(PageFlags::POLICY_BIT);
         if sampled_warm || second_fault {
             e.flags.clear(PageFlags::POLICY_BIT);
-            let _ = sys.promote_with_reclaim(pid, pte, MigrateMode::Sync(pid));
+            let _ = sys.promote_with_reclaim_to(pid, pte, TierId::FAST, MigrateMode::Sync(pid));
         } else {
             e.flags.set(PageFlags::POLICY_BIT);
         }

@@ -34,7 +34,10 @@ pub use linux_nb::LinuxNumaBalancing;
 pub use memtis::{Memtis, MemtisConfig};
 pub use multiclock::{MultiClock, MultiClockConfig};
 pub use pebs::PebsSampler;
-pub use policy::{decode_token, encode_token, NullPolicy, ScanCursor, TieringPolicy};
+pub use policy::{
+    age_tier, decode_token, demote_until, encode_token, lower_tier_headroom, promote_deferred,
+    NullPolicy, ScanCursor, TieringPolicy,
+};
 pub use shard::{
     admission_grants, gini, AdmissionConfig, BarrierAudit, ShardedConfig, ShardedRunResult,
     ShardedSim, SlotClaim, TenantOutcome, TenantShard,

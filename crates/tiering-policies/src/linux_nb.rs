@@ -10,11 +10,11 @@
 //! scan period, churning the fast tier.
 
 use sim_clock::Nanos;
-use tiered_mem::{
-    scan_budget_pages, AccessResult, MigrateMode, PageFlags, ProcessId, TierId, TieredSystem, Vpn,
-};
+use tiered_mem::{AccessResult, MigrateMode, PageFlags, ProcessId, TierId, TieredSystem, Vpn};
 
-use crate::policy::{decode_token, encode_token, ScanCursor, TieringPolicy};
+use crate::policy::{
+    age_tier, decode_token, demote_until, encode_token, ScanCursor, TieringPolicy,
+};
 
 const EV_SCAN: u16 = 1;
 const EV_KSWAPD: u16 = 2;
@@ -75,13 +75,8 @@ impl TieringPolicy for LinuxNumaBalancing {
     }
 
     fn init(&mut self, sys: &mut TieredSystem) {
-        self.cursors.clear();
-        for pid in sys.pids().collect::<Vec<_>>() {
-            let pages = sys.process(pid).space.pages();
-            let cursor = ScanCursor::new(pages, self.cfg.scan_step_pages, self.cfg.scan_period);
-            sys.schedule_in(cursor.event_interval, encode_token(EV_SCAN, pid.0, 0));
-            self.cursors.push(cursor);
-        }
+        let cfg = &self.cfg;
+        self.cursors = ScanCursor::arm(sys, cfg.scan_step_pages, cfg.scan_period, EV_SCAN, 0);
         sys.schedule_in(self.cfg.scan_period / 16, encode_token(EV_KSWAPD, 0, 0));
     }
 
@@ -96,24 +91,10 @@ impl TieringPolicy for LinuxNumaBalancing {
                 // every present page regardless of tier (faults on fast pages
                 // are "local" and migrate nothing, but still cost a fault —
                 // part of NB's overhead).
-                let mut marked = 0u64;
-                cur.cursor =
-                    sys.process_mut(pid)
-                        .space
-                        .walk_range(cur.cursor, cur.step_pages, |_vpn, e| {
-                            e.flags.set(PageFlags::PROT_NONE);
-                            marked += 1;
-                        });
+                let marked = cur.step(sys, pid, token, |_, e| e.flags.set(PageFlags::PROT_NONE));
                 sys.charge_scan(pid, marked.max(1));
                 // LRU aging at scan-period timescale, spread across chunks.
-                let age_budget = scan_budget_pages(
-                    sys.total_frames(TierId::FAST),
-                    cur.event_interval,
-                    self.cfg.scan_period,
-                );
-                sys.age_active_list(TierId::FAST, age_budget.max(16));
-                let interval = cur.event_interval;
-                sys.schedule_in(interval, encode_token(EV_SCAN, pid.0, 0));
+                age_tier(sys, TierId::FAST, cur.event_interval, self.cfg.scan_period);
             }
             EV_KSWAPD => {
                 // kswapd with v5.18 tiering-mode reclaim-demotion and
@@ -128,18 +109,10 @@ impl TieringPolicy for LinuxNumaBalancing {
                     / 16.0) as u32;
                 self.promo_budget = refill;
                 let target = sys.watermarks.high.saturating_add(refill);
-                if sys.free_frames(TierId::FAST) < target {
-                    let mut budget = refill.saturating_mul(2).max(64);
-                    while sys.free_frames(TierId::FAST) < target && budget > 0 {
-                        budget -= 1;
-                        match sys.pop_inactive_victim(TierId::FAST) {
-                            Some((vp, vv)) => {
-                                let _ = sys.migrate(vp, vv, TierId::SLOW, MigrateMode::Async);
-                            }
-                            None => break,
-                        }
-                    }
-                }
+                let budget = refill.saturating_mul(2).max(64);
+                demote_until(sys, TierId::FAST, target, budget, |sys, vp, vv| {
+                    let _ = sys.migrate(vp, vv, TierId::SLOW, MigrateMode::Async);
+                });
                 sys.trace_period(Default::default());
                 sys.schedule_in(self.cfg.scan_period / 16, encode_token(EV_KSWAPD, 0, 0));
             }

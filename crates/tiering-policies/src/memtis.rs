@@ -12,13 +12,10 @@
 //! blocks) under strided workloads.
 
 use sim_clock::Nanos;
-use tiered_mem::{
-    scan_budget_pages, AccessResult, MigrateMode, PageFlags, ProcessId, TierId, TieredSystem, Vpn,
-    HUGE_2M_PAGES,
-};
+use tiered_mem::{AccessResult, PageFlags, ProcessId, TierId, TieredSystem, Vpn, HUGE_2M_PAGES};
 
 use crate::pebs::PebsSampler;
-use crate::policy::{decode_token, encode_token, TieringPolicy};
+use crate::policy::{age_tier, decode_token, encode_token, promote_deferred, TieringPolicy};
 
 const EV_MIGRATE: u16 = 1;
 const EV_COOL: u16 = 2;
@@ -229,13 +226,7 @@ impl TieringPolicy for Memtis {
         let (kind, _, _) = decode_token(token);
         match kind {
             EV_MIGRATE => {
-                for (pid, unit) in self.promote_queue.drain(..) {
-                    let e = sys.process_mut(pid).space.entry_mut(unit);
-                    e.flags.clear(PageFlags::CANDIDATE);
-                    if e.tier() == TierId::SLOW {
-                        let _ = sys.promote_with_reclaim(pid, unit, MigrateMode::Async);
-                    }
-                }
+                promote_deferred(sys, &mut self.promote_queue);
                 sys.schedule_in(self.cfg.migrate_interval, encode_token(EV_MIGRATE, 0, 0));
             }
             EV_COOL => {
@@ -245,12 +236,12 @@ impl TieringPolicy for Memtis {
             EV_ADJUST => {
                 // Age the fast-tier LRU so reclaim during promotions has
                 // meaningful inactive candidates (kswapd-equivalent).
-                let age_budget = scan_budget_pages(
-                    sys.total_frames(TierId::FAST),
+                age_tier(
+                    sys,
+                    TierId::FAST,
                     self.cfg.adjust_interval,
                     self.cfg.cooling_interval,
                 );
-                sys.age_active_list(TierId::FAST, age_budget.max(16));
                 self.adjust_threshold(sys);
                 self.maybe_split(sys);
                 sys.trace_period(Default::default());

@@ -12,10 +12,13 @@
 
 use sim_clock::Nanos;
 use tiered_mem::{
-    scan_budget_pages, AccessResult, MigrateMode, PageFlags, ProcessId, TierId, TieredSystem, Vpn,
+    AccessResult, LruKind, MigrateMode, PageFlags, ProcessId, TierId, TieredSystem, Vpn,
 };
 
-use crate::policy::{decode_token, encode_token, ScanCursor, TieringPolicy};
+use crate::policy::{
+    age_tier, decode_token, demote_until, encode_token, lower_tier_headroom, ScanCursor,
+    TieringPolicy,
+};
 
 const EV_SWEEP: u16 = 1;
 const EV_DEMOTE: u16 = 2;
@@ -87,13 +90,8 @@ impl TieringPolicy for MultiClock {
     }
 
     fn init(&mut self, sys: &mut TieredSystem) {
-        self.cursors.clear();
-        for pid in sys.pids().collect::<Vec<_>>() {
-            let pages = sys.process(pid).space.pages();
-            let cursor = ScanCursor::new(pages, self.cfg.sweep_step_pages, self.cfg.sweep_period);
-            sys.schedule_in(cursor.event_interval, encode_token(EV_SWEEP, pid.0, 0));
-            self.cursors.push(cursor);
-        }
+        let cfg = &self.cfg;
+        self.cursors = ScanCursor::arm(sys, cfg.sweep_step_pages, cfg.sweep_period, EV_SWEEP, 0);
         sys.schedule_in(self.cfg.demote_interval, encode_token(EV_DEMOTE, 0, 0));
     }
 
@@ -102,29 +100,23 @@ impl TieringPolicy for MultiClock {
         match kind {
             EV_SWEEP => {
                 let pid = ProcessId(pid_raw);
-                let cur = &mut self.cursors[pid_raw as usize];
                 let top = self.cfg.promote_level;
                 let max_level = self.cfg.levels - 1;
-                let mut visited = 0u64;
                 let mut promote: Vec<(Vpn, TierId)> = Vec::new();
-                cur.cursor =
-                    sys.process_mut(pid)
-                        .space
-                        .walk_range(cur.cursor, cur.step_pages, |vpn, e| {
-                            visited += 1;
-                            let level = e.policy_extra;
-                            if e.flags.has(PageFlags::ACCESSED) {
-                                e.flags.clear(PageFlags::ACCESSED);
-                                e.policy_extra = (level + 1).min(max_level);
-                                let t = e.tier();
-                                if t != TierId::FAST && e.policy_extra >= top {
-                                    // Climb one hop toward the top tier.
-                                    promote.push((vpn, TierId(t.0 - 1)));
-                                }
-                            } else {
-                                e.policy_extra = level.saturating_sub(1);
-                            }
-                        });
+                let visited = self.cursors[pid_raw as usize].step(sys, pid, token, |vpn, e| {
+                    let level = e.policy_extra;
+                    if e.flags.has(PageFlags::ACCESSED) {
+                        e.flags.clear(PageFlags::ACCESSED);
+                        e.policy_extra = (level + 1).min(max_level);
+                        let t = e.tier();
+                        if t != TierId::FAST && e.policy_extra >= top {
+                            // Climb one hop toward the top tier.
+                            promote.push((vpn, TierId(t.0 - 1)));
+                        }
+                    } else {
+                        e.policy_extra = level.saturating_sub(1);
+                    }
+                });
                 // Sweeping reads/clears accessed bits; no faults are forced.
                 sys.charge_scan(pid, visited.max(1));
                 for (vpn, dest) in promote {
@@ -134,8 +126,6 @@ impl TieringPolicy for MultiClock {
                     // another's working set wholesale.
                     let _ = sys.migrate(pid, vpn, dest, MigrateMode::Async);
                 }
-                let interval = cur.event_interval;
-                sys.schedule_in(interval, encode_token(EV_SWEEP, pid.0, 0));
             }
             EV_DEMOTE => {
                 // Cascaded demotion, top tier down: each non-terminal tier
@@ -143,39 +133,23 @@ impl TieringPolicy for MultiClock {
                 // bottom-level pages one hop to keep promotion headroom.
                 for t in 0..(self.tiers - 1) as u8 {
                     let tier = TierId(t);
-                    let age_budget = scan_budget_pages(
-                        sys.total_frames(tier),
-                        self.cfg.demote_interval,
-                        self.cfg.sweep_period,
-                    );
-                    sys.age_active_list(tier, age_budget.max(16));
-                    // The watermarks are sized for the top tier; deeper tiers
-                    // hold a fixed 1/32 headroom instead.
+                    age_tier(sys, tier, self.cfg.demote_interval, self.cfg.sweep_period);
                     let target = if t == 0 {
                         sys.watermarks
                             .high
                             .saturating_add(sys.total_frames(tier) / 32)
                     } else {
-                        (sys.total_frames(tier) / 32).max(1)
+                        lower_tier_headroom(sys, tier)
                     };
-                    let mut budget = 128u32;
-                    while sys.free_frames(tier) < target && budget > 0 {
-                        budget -= 1;
-                        match sys.pop_inactive_victim(tier) {
-                            Some((pid, vpn)) => {
-                                // Respect levels: only genuinely cold pages leave.
-                                let level = sys.process(pid).space.entry(vpn).policy_extra;
-                                if level == 0 {
-                                    let _ =
-                                        sys.migrate(pid, vpn, TierId(t + 1), MigrateMode::Async);
-                                } else {
-                                    // Referenced at some level: rotate back.
-                                    sys.lru_insert(pid, vpn, tiered_mem::LruKind::Active);
-                                }
-                            }
-                            None => break,
+                    demote_until(sys, tier, target, 128, |sys, pid, vpn| {
+                        // Respect levels: only genuinely cold pages leave.
+                        if sys.process(pid).space.entry(vpn).policy_extra == 0 {
+                            let _ = sys.migrate(pid, vpn, TierId(t + 1), MigrateMode::Async);
+                        } else {
+                            // Referenced at some level: rotate back.
+                            sys.lru_insert(pid, vpn, LruKind::Active);
                         }
-                    }
+                    });
                 }
                 sys.trace_period(Default::default());
                 sys.schedule_in(self.cfg.demote_interval, encode_token(EV_DEMOTE, 0, 0));

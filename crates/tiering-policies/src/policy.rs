@@ -1,7 +1,13 @@
-//! The [`TieringPolicy`] trait and shared policy plumbing.
+//! The [`TieringPolicy`] trait and shared policy plumbing: the daemon
+//! mechanics every scan- and LRU-based policy runs underneath its own
+//! hotness criterion ([`ScanCursor`] scanning, [`age_tier`],
+//! [`demote_until`], [`lower_tier_headroom`], [`promote_deferred`]).
 
 use sim_clock::Nanos;
-use tiered_mem::{AccessResult, ProcessId, TieredSystem, Vpn};
+use tiered_mem::{
+    scan_budget_pages, AccessResult, MigrateMode, PageEntry, PageFlags, ProcessId, TierId,
+    TieredSystem, Vpn,
+};
 
 /// A kernel tiering policy driving page placement on a [`TieredSystem`].
 ///
@@ -49,8 +55,9 @@ pub fn decode_token(token: u64) -> (u16, u16, u32) {
     ((token >> 48) as u16, (token >> 32) as u16, token as u32)
 }
 
-/// Per-process scan cursor shared by every NUMA-balancing-derived scanner
-/// (Linux-NB, Auto-Tiering, TPP, Chrono's Ticking-scan).
+/// Per-process scan cursor shared by every chunked page-table scanner:
+/// Linux-NB, Auto-Tiering, TPP, FlexMem, Multi-Clock's clock sweep and
+/// Chrono's Ticking-scan.
 ///
 /// A full pass over the address space takes one scan period; each scan event
 /// covers `step_pages` and the events are spaced so the pass completes on
@@ -58,9 +65,9 @@ pub fn decode_token(token: u64) -> (u16, u16, u32) {
 #[derive(Debug, Clone)]
 pub struct ScanCursor {
     /// Next page to scan.
-    pub cursor: Vpn,
+    cursor: Vpn,
     /// Pages marked per scan event.
-    pub step_pages: u32,
+    step_pages: u32,
     /// Delay between scan events for this process.
     pub event_interval: Nanos,
 }
@@ -68,13 +75,105 @@ pub struct ScanCursor {
 impl ScanCursor {
     /// Builds a cursor for a space of `space_pages`, covering it once per
     /// `scan_period` in chunks of `step_pages`.
-    pub fn new(space_pages: u32, step_pages: u32, scan_period: Nanos) -> ScanCursor {
+    fn new(space_pages: u32, step_pages: u32, scan_period: Nanos) -> ScanCursor {
         let step_pages = step_pages.max(1).min(space_pages.max(1));
         let chunks = space_pages.div_ceil(step_pages).max(1);
         ScanCursor {
             cursor: Vpn(0),
             step_pages,
             event_interval: scan_period / chunks as u64,
+        }
+    }
+
+    /// Builds one cursor per process of `sys`, indexed by pid, and schedules
+    /// each process's first scan event, `encode_token(kind, pid, tag)`, one
+    /// event interval out.
+    pub fn arm(
+        sys: &mut TieredSystem,
+        step_pages: u32,
+        scan_period: Nanos,
+        kind: u16,
+        tag: u32,
+    ) -> Vec<ScanCursor> {
+        let pids: Vec<ProcessId> = sys.pids().collect();
+        pids.into_iter()
+            .map(|pid| {
+                let pages = sys.process(pid).space.pages();
+                let cursor = ScanCursor::new(pages, step_pages, scan_period);
+                sys.schedule_in(cursor.event_interval, encode_token(kind, pid.0, tag));
+                cursor
+            })
+            .collect()
+    }
+
+    /// Walks the next window of `pid`'s address space, calling `f` on every
+    /// present PTE page, schedules the process's next scan event `token` one
+    /// event interval out, and returns the PTEs visited. Charging the scan
+    /// is the caller's: policies price a PTE visit differently.
+    pub fn step(
+        &mut self,
+        sys: &mut TieredSystem,
+        pid: ProcessId,
+        token: u64,
+        mut f: impl FnMut(Vpn, &mut PageEntry),
+    ) -> u64 {
+        let mut visited = 0u64;
+        self.cursor =
+            sys.process_mut(pid)
+                .space
+                .walk_range(self.cursor, self.step_pages, |vpn, e| {
+                    visited += 1;
+                    f(vpn, e);
+                });
+        sys.schedule_in(self.event_interval, token);
+        visited
+    }
+}
+
+/// Ages `tier`'s active LRU list by one `interval` tick's share of a full
+/// pass per `period` ([`scan_budget_pages`]), at least 16 pages, so the
+/// inactive list reflects period-granularity coldness.
+pub fn age_tier(sys: &mut TieredSystem, tier: TierId, interval: Nanos, period: Nanos) {
+    let budget = scan_budget_pages(sys.total_frames(tier), interval, period);
+    sys.age_active_list(tier, budget.max(16));
+}
+
+/// Demotes from `tier` while its free frames are under `target`: pops at
+/// most `budget` inactive victims and hands each to `demote`, which decides
+/// what happens to it. Stops early when `tier` has no victim left.
+pub fn demote_until(
+    sys: &mut TieredSystem,
+    tier: TierId,
+    target: u32,
+    mut budget: u32,
+    mut demote: impl FnMut(&mut TieredSystem, ProcessId, Vpn),
+) {
+    while sys.free_frames(tier) < target && budget > 0 {
+        budget -= 1;
+        let Some((pid, vpn)) = sys.pop_inactive_victim(tier) else {
+            break;
+        };
+        demote(sys, pid, vpn);
+    }
+}
+
+/// Free-frame headroom a demotion daemon holds on `tier` below the top. The
+/// system watermarks are sized for the top tier, so deeper tiers hold a
+/// fixed 1/32 of their frames instead, enough that one-hop promotions from
+/// below find room.
+pub fn lower_tier_headroom(sys: &TieredSystem, tier: TierId) -> u32 {
+    (sys.total_frames(tier) / 32).max(1)
+}
+
+/// Drains a deferred promotion list: clears each unit's `CANDIDATE` mark
+/// and promotes the units still in the slow tier to the top tier,
+/// reclaiming room there first.
+pub fn promote_deferred(sys: &mut TieredSystem, deferred: &mut Vec<(ProcessId, Vpn)>) {
+    for (pid, unit) in deferred.drain(..) {
+        let e = sys.process_mut(pid).space.entry_mut(unit);
+        e.flags.clear(PageFlags::CANDIDATE);
+        if e.tier() == TierId::SLOW {
+            let _ = sys.promote_with_reclaim_to(pid, unit, TierId::FAST, MigrateMode::Async);
         }
     }
 }

@@ -649,7 +649,7 @@ impl ShardedSim {
 mod tests {
     use super::*;
     use crate::policy::NullPolicy;
-    use tiered_mem::{PageSize, PartitionPlan, SystemConfig};
+    use tiered_mem::{PageSize, PartitionPlan, SystemConfig, TierId};
     use workloads::{PmbenchConfig, PmbenchWorkload};
 
     fn shard(id: u32, weight: u64, fast: u32, slow: u32, seed: u64) -> TenantShard {
@@ -668,11 +668,13 @@ mod tests {
     }
 
     fn build(tenants: usize, threads: usize) -> ShardedSim {
-        let plan = PartitionPlan::split_even(256 * tenants as u32, 768 * tenants as u32, tenants);
+        let totals = [256 * tenants as u32, 768 * tenants as u32];
+        let plan = PartitionPlan::split_weighted_tiers(&totals, &vec![1; tenants]);
         let shards = (0..tenants)
             .map(|i| {
                 let p = plan.part(i);
-                shard(i as u32, 1, p.fast_frames(), p.slow_frames(), i as u64)
+                let (fast, slow) = (p.frames(TierId::FAST), p.frames(TierId::SLOW));
+                shard(i as u32, 1, fast, slow, i as u64)
             })
             .collect();
         let mut cfg = ShardedConfig::new(Nanos::from_millis(10));

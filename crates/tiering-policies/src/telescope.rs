@@ -18,11 +18,9 @@
 //! which is precisely Telescope's scalability argument.
 
 use sim_clock::Nanos;
-use tiered_mem::{
-    scan_budget_pages, AccessResult, MigrateMode, PageFlags, ProcessId, TierId, TieredSystem, Vpn,
-};
+use tiered_mem::{AccessResult, MigrateMode, PageFlags, ProcessId, TierId, TieredSystem, Vpn};
 
-use crate::policy::{decode_token, encode_token, TieringPolicy};
+use crate::policy::{age_tier, decode_token, demote_until, encode_token, TieringPolicy};
 
 const EV_PROFILE: u16 = 1;
 const EV_DEMOTE: u16 = 2;
@@ -217,7 +215,7 @@ impl Telescope {
             if sys.process(pid).space.entry(pte).present()
                 && sys.process(pid).space.entry(pte).tier() == TierId::SLOW
             {
-                let _ = sys.promote_with_reclaim(pid, pte, MigrateMode::Async);
+                let _ = sys.promote_with_reclaim_to(pid, pte, TierId::FAST, MigrateMode::Async);
             }
         }
     }
@@ -242,22 +240,12 @@ impl TieringPolicy for Telescope {
                 sys.schedule_in(self.cfg.window, encode_token(EV_PROFILE, 0, 0));
             }
             EV_DEMOTE => {
-                let age_budget = scan_budget_pages(
-                    sys.total_frames(TierId::FAST),
-                    self.cfg.demote_interval,
-                    Nanos(self.cfg.window.as_nanos().saturating_mul(8)),
-                );
-                sys.age_active_list(TierId::FAST, age_budget.max(16));
-                let mut budget = 128u32;
-                while sys.free_frames(TierId::FAST) < sys.watermarks.high && budget > 0 {
-                    budget -= 1;
-                    match sys.pop_inactive_victim(TierId::FAST) {
-                        Some((pid, vpn)) => {
-                            let _ = sys.migrate(pid, vpn, TierId::SLOW, MigrateMode::Async);
-                        }
-                        None => break,
-                    }
-                }
+                let period = Nanos(self.cfg.window.as_nanos().saturating_mul(8));
+                age_tier(sys, TierId::FAST, self.cfg.demote_interval, period);
+                let target = sys.watermarks.high;
+                demote_until(sys, TierId::FAST, target, 128, |sys, pid, vpn| {
+                    let _ = sys.migrate(pid, vpn, TierId::SLOW, MigrateMode::Async);
+                });
                 sys.trace_period(Default::default());
                 sys.schedule_in(self.cfg.demote_interval, encode_token(EV_DEMOTE, 0, 0));
             }

@@ -11,11 +11,13 @@
 
 use sim_clock::Nanos;
 use tiered_mem::{
-    scan_budget_pages, AccessResult, LruKind, MigrateMode, PageFlags, ProcessId, TierId,
-    TieredSystem, Vpn,
+    AccessResult, LruKind, MigrateMode, PageFlags, ProcessId, TierId, TieredSystem, Vpn,
 };
 
-use crate::policy::{decode_token, encode_token, ScanCursor, TieringPolicy};
+use crate::policy::{
+    age_tier, decode_token, demote_until, encode_token, lower_tier_headroom, ScanCursor,
+    TieringPolicy,
+};
 
 const EV_SCAN: u16 = 1;
 const EV_DEMOTE: u16 = 2;
@@ -82,13 +84,8 @@ impl TieringPolicy for Tpp {
     }
 
     fn init(&mut self, sys: &mut TieredSystem) {
-        self.cursors.clear();
-        for pid in sys.pids().collect::<Vec<_>>() {
-            let pages = sys.process(pid).space.pages();
-            let cursor = ScanCursor::new(pages, self.cfg.scan_step_pages, self.cfg.scan_period);
-            sys.schedule_in(cursor.event_interval, encode_token(EV_SCAN, pid.0, 0));
-            self.cursors.push(cursor);
-        }
+        let cfg = &self.cfg;
+        self.cursors = ScanCursor::arm(sys, cfg.scan_step_pages, cfg.scan_period, EV_SCAN, 0);
         sys.schedule_in(self.cfg.demote_interval, encode_token(EV_DEMOTE, 0, 0));
     }
 
@@ -97,22 +94,14 @@ impl TieringPolicy for Tpp {
         match kind {
             EV_SCAN => {
                 let pid = ProcessId(pid_raw);
-                let cur = &mut self.cursors[pid_raw as usize];
-                let mut visited = 0u64;
-                cur.cursor =
-                    sys.process_mut(pid)
-                        .space
-                        .walk_range(cur.cursor, cur.step_pages, |_vpn, e| {
-                            visited += 1;
-                            // TPP only poisons CPU-less-node (non-top) pages,
-                            // halving scan-fault overhead vs. vanilla NB.
-                            if e.tier() != TierId::FAST {
-                                e.flags.set(PageFlags::PROT_NONE);
-                            }
-                        });
+                let visited = self.cursors[pid_raw as usize].step(sys, pid, token, |_, e| {
+                    // TPP only poisons CPU-less-node (non-top) pages, halving
+                    // scan-fault overhead vs. vanilla NB.
+                    if e.tier() != TierId::FAST {
+                        e.flags.set(PageFlags::PROT_NONE);
+                    }
+                });
                 sys.charge_scan(pid, visited.max(1));
-                let interval = cur.event_interval;
-                sys.schedule_in(interval, encode_token(EV_SCAN, pid.0, 0));
             }
             EV_DEMOTE => {
                 // Cascaded demotion daemon, top tier down: each non-terminal
@@ -120,29 +109,15 @@ impl TieringPolicy for Tpp {
                 // inactive pages one hop down to hold free-frame headroom.
                 for t in 0..(self.tiers - 1) as u8 {
                     let tier = TierId(t);
-                    let age_budget = scan_budget_pages(
-                        sys.total_frames(tier),
-                        self.cfg.demote_interval,
-                        self.cfg.scan_period,
-                    );
-                    sys.age_active_list(tier, age_budget.max(16));
-                    // The system watermarks are sized for the top tier;
-                    // deeper tiers hold a fixed 1/32 headroom instead.
+                    age_tier(sys, tier, self.cfg.demote_interval, self.cfg.scan_period);
                     let high = if t == 0 {
                         sys.watermarks.high
                     } else {
-                        (sys.total_frames(tier) / 32).max(1)
+                        lower_tier_headroom(sys, tier)
                     };
-                    let mut budget = 256u32;
-                    while sys.free_frames(tier) < high && budget > 0 {
-                        budget -= 1;
-                        match sys.pop_inactive_victim(tier) {
-                            Some((pid, vpn)) => {
-                                let _ = sys.migrate(pid, vpn, TierId(t + 1), MigrateMode::Async);
-                            }
-                            None => break,
-                        }
-                    }
+                    demote_until(sys, tier, high, 256, |sys, pid, vpn| {
+                        let _ = sys.migrate(pid, vpn, TierId(t + 1), MigrateMode::Async);
+                    });
                 }
                 sys.trace_period(Default::default());
                 sys.schedule_in(self.cfg.demote_interval, encode_token(EV_DEMOTE, 0, 0));

@@ -458,7 +458,8 @@ pub fn apply_op(sys: &mut TieredSystem, op: FuzzOp) {
             let _ = sys.begin_migrate(ProcessId(pid), Vpn(vpn), TierId(to), MigrateMode::Async);
         }
         FuzzOp::PromoteReclaim { pid, vpn } => {
-            let _ = sys.promote_with_reclaim(ProcessId(pid), Vpn(vpn), MigrateMode::Async);
+            let (pid, vpn) = (ProcessId(pid), Vpn(vpn));
+            let _ = sys.promote_with_reclaim_to(pid, vpn, TierId::FAST, MigrateMode::Async);
         }
         FuzzOp::SwapOut { pid, vpn } => {
             let _ = sys.swap_out(ProcessId(pid), Vpn(vpn));

@@ -657,7 +657,7 @@ mod tests {
             sys.access(pid, Vpn(v), v % 3 == 0);
         }
         let _ = sys.migrate(pid, Vpn(0), TierId::SLOW, MigrateMode::Async);
-        let _ = sys.promote_with_reclaim(pid, Vpn(0), MigrateMode::Async);
+        let _ = sys.promote_with_reclaim_to(pid, Vpn(0), TierId::FAST, MigrateMode::Async);
         let _ = sys.swap_out(pid, Vpn(1));
         oracle.assert_clean(&sys, "exercised");
         assert_eq!(oracle.checks, 2);

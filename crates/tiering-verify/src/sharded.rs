@@ -4,17 +4,17 @@
 //! it derives a deterministic multi-tenant case from a seed (partitioned
 //! frame pools, skewed tenant weights, per-tenant workload streams split
 //! from the run seed), runs it at any worker-thread count, and checks three
-//! new cross-shard invariants on top of the per-shard oracle sweep:
+//! cross-shard invariants on top of the per-shard oracle sweep (which runs
+//! at every barrier and on every final shard, so each tenant's migration
+//! slot flow is the oracle's `migration_flow`):
 //!
-//! - **global frame conservation across shards** — every shard's tier
-//!   capacities still sum to the partition plan's global pools (no frames
-//!   created, destroyed, or silently shared);
+//! - **global frame conservation across shards** — in every tier, each
+//!   shard's capacity still equals its partition and the capacities sum to
+//!   the plan's global pool (no frames created, destroyed, or silently
+//!   shared);
 //! - **PFN exclusivity across tenants** — the partition plan is contiguous,
 //!   disjoint, and exhaustive, and every shard's tables are sized to its
 //!   partition (two tenants can never address the same global frame);
-//! - **per-tenant slot-flow conservation** — opened migration transactions
-//!   balance against their outcomes:
-//!   `begun == completed + aborted + transient + poisoned + in_flight`;
 //! - **canonical admission grants** — every barrier's applied slot grants
 //!   are replayed through the chrono-race model's independently implemented
 //!   `tiering_analysis::canonical_grants` (N-version programming: same
@@ -93,34 +93,6 @@ pub fn tenant_weights(seed: u64, tenants: usize) -> Vec<u64> {
     (0..tenants).map(|_| 1 + rng.below(8)).collect()
 }
 
-/// Per-tenant slot-flow conservation: every opened migration transaction is
-/// accounted for by exactly one outcome.
-fn check_slot_flow(shard: &TenantShard) -> Option<Violation> {
-    let s = &shard.sys.stats;
-    let accounted = s.completed_migrations
-        + s.aborted_migrations
-        + s.transient_copy_faults
-        + s.poisoned_copy_faults
-        + shard.sys.migration_in_flight_count() as u64;
-    if s.begun_migrations != accounted {
-        return Some(Violation {
-            invariant: "tenant-slot-flow",
-            detail: format!(
-                "tenant {}: begun {} != completed {} + aborted {} + transient {} \
-                 + poisoned {} + in_flight {}",
-                shard.id,
-                s.begun_migrations,
-                s.completed_migrations,
-                s.aborted_migrations,
-                s.transient_copy_faults,
-                s.poisoned_copy_faults,
-                shard.sys.migration_in_flight_count(),
-            ),
-        });
-    }
-    None
-}
-
 /// N-version admission oracle: replays one barrier's decision through the
 /// chrono-race model's independently implemented
 /// [`tiering_analysis::canonical_grants`] (closed-form round-robin, u128
@@ -154,7 +126,8 @@ fn check_admission_audit(audit: &BarrierAudit, tenants: usize, out: &mut Vec<Vio
 }
 
 /// Cross-shard invariants over the post-run shards: global frame
-/// conservation against the partition plan and PFN exclusivity.
+/// conservation against the partition plan in every tier, and PFN
+/// exclusivity.
 fn check_cross_shard(shards: &[TenantShard], plan: &PartitionPlan, out: &mut Vec<Violation>) {
     if !plan.covers_exactly() {
         out.push(Violation {
@@ -162,43 +135,39 @@ fn check_cross_shard(shards: &[TenantShard], plan: &PartitionPlan, out: &mut Vec
             detail: "partition plan is not contiguous/disjoint/exhaustive".to_string(),
         });
     }
-    let mut fast_sum = 0u64;
-    let mut slow_sum = 0u64;
-    for s in shards {
-        let part = plan.part(s.id as usize);
-        // Capacity per shard must still equal its partition: usable plus
-        // quarantined/offlined frames (faults take frames out of service
-        // but never out of the partition).
-        let fast_cap = s.sys.total_frames(TierId::FAST) as u64
-            + s.sys.quarantined_frames(TierId::FAST) as u64
-            + s.sys.offlined_frames(TierId::FAST) as u64;
-        let slow_cap = s.sys.total_frames(TierId::SLOW) as u64
-            + s.sys.quarantined_frames(TierId::SLOW) as u64
-            + s.sys.offlined_frames(TierId::SLOW) as u64;
-        if fast_cap != part.fast_frames() as u64 || slow_cap != part.slow_frames() as u64 {
+    for tier in (0..plan.num_tiers()).map(|t| TierId(t as u8)) {
+        let mut sum = 0u64;
+        for s in shards {
+            let part = plan.part(s.id as usize);
+            // Capacity per shard must still equal its partition: usable plus
+            // quarantined/offlined frames (faults take frames out of service
+            // but never out of the partition).
+            let cap = u64::from(s.sys.total_frames(tier))
+                + u64::from(s.sys.quarantined_frames(tier))
+                + u64::from(s.sys.offlined_frames(tier));
+            if cap != u64::from(part.frames(tier)) {
+                out.push(Violation {
+                    invariant: "global-frame-conservation",
+                    detail: format!(
+                        "tenant {}: tier {} capacity {cap} drifted from partition {}",
+                        s.id,
+                        tier.0,
+                        part.frames(tier)
+                    ),
+                });
+            }
+            sum += cap;
+        }
+        if sum != u64::from(plan.total(tier)) {
             out.push(Violation {
                 invariant: "global-frame-conservation",
                 detail: format!(
-                    "tenant {}: capacity ({fast_cap}, {slow_cap}) drifted from partition \
-                     ({}, {})",
-                    s.id,
-                    part.fast_frames(),
-                    part.slow_frames()
+                    "tier {} shard capacities sum to {sum}, plan holds {}",
+                    tier.0,
+                    plan.total(tier)
                 ),
             });
         }
-        fast_sum += fast_cap;
-        slow_sum += slow_cap;
-    }
-    if fast_sum != plan.total_fast() as u64 || slow_sum != plan.total_slow() as u64 {
-        out.push(Violation {
-            invariant: "global-frame-conservation",
-            detail: format!(
-                "shard capacities sum to ({fast_sum}, {slow_sum}), plan holds ({}, {})",
-                plan.total_fast(),
-                plan.total_slow()
-            ),
-        });
     }
 }
 
@@ -311,11 +280,13 @@ impl ShardedCase {
             tenant_weights(self.seed, tenants)
         };
         let fast_total = total_frames / 4;
-        let plan = PartitionPlan::split_weighted(fast_total, total_frames - fast_total, &weights);
+        let plan =
+            PartitionPlan::split_weighted_tiers(&[fast_total, total_frames - fast_total], &weights);
         let shards = (0..tenants)
             .map(|i| {
                 let part = plan.part(i);
-                let mut cfg = SystemConfig::dram_pmem(part.fast_frames(), part.slow_frames());
+                let (fast, slow) = (part.frames(TierId::FAST), part.frames(TierId::SLOW));
+                let mut cfg = SystemConfig::dram_pmem(fast, slow);
                 cfg.fault_plan = self.fault_plans[i].clone();
                 let mut sys = TieredSystem::new(cfg);
                 sys.enable_tracing(if classic { 1 << 12 } else { 1 << 10 });
@@ -324,7 +295,7 @@ impl ShardedCase {
                 // itself comes from a tenant-id-keyed split of the workload
                 // seed.
                 let tenant_pages =
-                    ((pages as u64 * part.fast_frames() as u64 / fast_total as u64) as u32).max(64);
+                    ((pages as u64 * fast as u64 / fast_total as u64) as u32).max(64);
                 let tenant_seed = if classic {
                     wl_seed
                 } else {
@@ -381,9 +352,6 @@ impl ShardedCase {
             |shard| {
                 if violations.len() < MAX_KEPT {
                     violations.extend(oracle.check(&shard.sys));
-                    if let Some(v) = check_slot_flow(shard) {
-                        violations.push(v);
-                    }
                     violations.truncate(MAX_KEPT);
                 }
             },
@@ -397,9 +365,7 @@ impl ShardedCase {
         }
         check_cross_shard(&result.shards, &plan, &mut violations);
         for s in &result.shards {
-            if let Some(v) = check_slot_flow(s) {
-                violations.push(v);
-            }
+            violations.extend(oracle.check(&s.sys));
         }
         violations.truncate(MAX_KEPT);
 
