@@ -77,6 +77,23 @@ if [[ -z "$d1" || "$d1" != "$d4" ]]; then
 fi
 echo "   digest $d1 identical at 1 and 4 threads"
 
+# Every figure builds its system through `harness::runner`, so the global
+# knobs must reach the figures that once built their own: each id writes
+# period rows, and every run's rows show the canonical plan's mid-run
+# fast-tier shrink (offlined frames).
+echo "== harness --fault-plan canonical --json (knobs reach fig1, fig10b, ext-adapt, ext-limits)"
+knob_dir=$(mktemp -d)
+./target/release/harness --fault-plan canonical --json "$knob_dir" fig1 fig10b ext-adapt ext-limits > /dev/null
+for id in fig1 fig10b ext-adapt ext-limits; do
+  rows=("$knob_dir/${id}__"*.json)
+  if [[ ! -e "${rows[0]}" ]] || grep -L '"offlined_frames":[1-9]' "${rows[@]}" | grep -q .; then
+    echo "knob check FAILED: $id wrote no period rows, or a run whose rows never show the fault plan's shrink"
+    exit 1
+  fi
+  echo "   $id: ${#rows[@]} runs, each with offlined frames"
+done
+rm -rf "$knob_dir"
+
 echo "== harness fuzz self-test (injected bug must be caught and shrunk)"
 ./target/release/harness fuzz --self-test
 

@@ -19,8 +19,8 @@ use std::collections::VecDeque;
 
 use sim_clock::{DetRng, Nanos};
 use tiered_mem::{
-    AccessResult, LruKind, MigrateError, MigrateMode, MigrationFailure, PageFlags, ProcessId,
-    TierId, TieredSystem, Vpn, BASE_PAGE_BYTES, HUGE_2M_PAGES,
+    AccessResult, MigrateError, MigrateMode, MigrationFailure, PageFlags, ProcessId, TierId,
+    TieredSystem, Vpn, BASE_PAGE_BYTES, HUGE_2M_PAGES,
 };
 use tiering_policies::{
     age_tier, decode_token, demote_until, encode_token, lower_tier_headroom, ScanCursor,
@@ -1349,12 +1349,6 @@ impl TieringPolicy for ChronoPolicy {
             self.handle_scan_fault(sys, pid, pte, us_to_nanos(cit_us));
         }
     }
-}
-
-/// Re-inserts a demoted page at the inactive tail; exposed for tests that
-/// need to manipulate LRU state alongside Chrono's flags.
-pub fn reinsert_inactive(sys: &mut TieredSystem, pid: ProcessId, vpn: Vpn) {
-    sys.lru_insert(pid, vpn, LruKind::Inactive);
 }
 
 #[cfg(test)]

@@ -11,11 +11,10 @@
 //! pages and both chain edges must have carried migrations for both
 //! policies, or the cascade is degenerate.
 
-use harness::runner::run_policy;
+use harness::runner::{pmbench, run_policy};
 use harness::{PolicyKind, Scale, Topology};
 use sim_clock::Nanos;
 use tiered_mem::{PageSize, TierId};
-use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
 const TIER_NAMES: [&str; 3] = ["DRAM", "CXL", "PMem"];
 
@@ -31,11 +30,8 @@ fn main() {
     let total_frames = pages + pages / 4;
 
     for kind in [PolicyKind::Chrono, PolicyKind::Tpp] {
-        let run = run_policy(kind, &scale, total_frames, PageSize::Base, None, || {
-            vec![Box::new(PmbenchWorkload::new(PmbenchConfig::paper_skewed(
-                pages, 0.7, 42,
-            ))) as Box<dyn Workload>]
-        });
+        let workloads = || pmbench(1, pages, 0.7, 42);
+        let run = run_policy(kind, &scale, total_frames, PageSize::Base, None, workloads);
         let s = &run.sys.stats;
         println!(
             "{} on three-tier: {} accesses, throughput {:.0}/s, fmar {:.3}",

@@ -11,15 +11,14 @@
 //!   in DRAM.
 
 use sim_clock::Nanos;
-use tiered_mem::{PageSize, SystemConfig, TierId, TieredSystem};
+use tiered_mem::{PageSize, ProcessId, SystemStats, TierId};
 use tiering_metrics::Table;
 use tiering_policies::{
-    flexmem::FlexMemConfig, telescope::TelescopeConfig, DriverConfig, FlexMem, SimulationDriver,
-    Telescope, TieringPolicy,
+    flexmem::FlexMemConfig, telescope::TelescopeConfig, FlexMem, Telescope, TieringPolicy,
 };
-use workloads::{PhasedWorkload, PmbenchConfig, PmbenchWorkload, Workload};
+use workloads::PhasedWorkload;
 
-use crate::runner::{quarter_system, PolicyKind, Scale};
+use crate::runner::{pmbench, PolicyKind, Scale, Testbed};
 
 /// Builds the two Table-1-only baselines at the given scale.
 fn extended_policy(name: &str, scale: &Scale) -> Box<dyn TieringPolicy> {
@@ -55,44 +54,20 @@ pub fn run_baselines(scale: &Scale) -> String {
     let procs = 8usize;
     let pages = 2048u32;
     let total = procs as u32 * pages;
-    let mut rows: Vec<(String, f64, f64)> = Vec::new();
-
-    let run_one = |policy: &mut dyn TieringPolicy, page_size: PageSize| -> (f64, f64) {
-        let mut sys = quarter_system(scale, total + total / 4);
-        let mut wls: Vec<Box<dyn Workload>> = (0..procs)
-            .map(|i| {
-                Box::new(PmbenchWorkload::new(PmbenchConfig::paper_skewed(
-                    pages,
-                    0.70,
-                    1500 + i as u64,
-                ))) as Box<dyn Workload>
-            })
-            .collect();
-        for w in &wls {
-            sys.add_process(w.address_space_pages(), page_size);
-        }
-        let r = SimulationDriver::new(DriverConfig {
-            run_for: scale.run_for,
-            ..Default::default()
-        })
-        .run(&mut sys, &mut wls, policy);
-        (r.throughput(), sys.stats.fmar())
+    let run_one = |label: &str, policy: &mut dyn TieringPolicy, page_size| {
+        let workloads = pmbench(procs, pages, 0.70, 1500);
+        let mut bed = Testbed::new(scale, total + total / 4, page_size, None, workloads);
+        let r = bed.run(label, policy, None);
+        (label.to_string(), r.throughput(), bed.sys.stats.fmar())
     };
-
+    let mut rows: Vec<(String, f64, f64)> = Vec::new();
     for kind in PolicyKind::MAIN {
-        let page_size = if kind == PolicyKind::Memtis {
-            PageSize::Huge2M
-        } else {
-            PageSize::Base
-        };
         let mut p = kind.build(scale);
-        let (thpt, fmar) = run_one(&mut *p, page_size);
-        rows.push((kind.name().to_string(), thpt, fmar));
+        rows.push(run_one(kind.name(), &mut *p, kind.page_size()));
     }
     for name in ["Telescope", "FlexMem"] {
         let mut p = extended_policy(name, scale);
-        let (thpt, fmar) = run_one(&mut *p, PageSize::Base);
-        rows.push((name.to_string(), thpt, fmar));
+        rows.push(run_one(name, &mut *p, PageSize::Base));
     }
 
     let base = rows[0].1; // Linux-NB
@@ -110,47 +85,47 @@ pub fn run_baselines(scale: &Scale) -> String {
     t.render()
 }
 
-/// Adaptation experiment: FMAR per quarter of a run whose hot region jumps
+/// The ext-adapt system: one phased pmbench process whose hot region jumps
+/// at the midpoint of a `scale.run_for` run.
+fn adapt_testbed(scale: &Scale) -> Testbed {
+    let pages = 8192u32;
+    let frames = pages + pages / 4;
+    let w = PhasedWorkload::new(
+        pages,
+        vec![0.25, 0.75],
+        // One phase per half of the run, in accesses: approximate from
+        // the default-scale throughput (~6 M accesses per sim-second).
+        (scale.run_for.as_secs_f64() * 6.0e6 / 2.0) as u64,
+        0.7,
+        1600,
+    );
+    Testbed::new(scale, frames, PageSize::Base, None, vec![Box::new(w)])
+}
+
+/// Runs `kind` on the ext-adapt system for twice the scale's run length and
+/// returns its FMAR per eighth of the run, from interval snapshots of the
+/// counters, and its final stats.
+fn adapt_run(kind: PolicyKind, scale: &Scale) -> (Vec<f64>, SystemStats) {
+    let scale = &scale.clone().with_run_multiplier(2);
+    let mut bed = adapt_testbed(scale);
+    let mut prev = bed.sys.stats.clone();
+    let mut interval_fmar = Vec::new();
+    bed.run_in_steps(kind.name(), &mut *kind.build(scale), 8, |sys| {
+        interval_fmar.push(sys.stats.delta_since(&prev).fmar());
+        prev = sys.stats.clone();
+    });
+    (interval_fmar, bed.sys.stats)
+}
+
+/// Adaptation experiment: FMAR per eighth of a run whose hot region jumps
 /// at the midpoint.
 pub fn run_adapt(scale: &Scale) -> String {
-    let pages = 8192u32;
-    let run_for = scale.run_for * 2;
     let mut t = Table::new(
         "Extension: adaptation to a phase shift (FMAR per eighth of the run; hot region jumps near the midpoint)",
         &["Policy", "I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "dip", "recovered"],
     );
     for kind in [PolicyKind::Tpp, PolicyKind::Chrono] {
-        let mut sys = quarter_system(scale, pages + pages / 4);
-        let w = PhasedWorkload::new(
-            pages,
-            vec![0.25, 0.75],
-            // One phase per half of the run, in accesses: approximate from
-            // the default-scale throughput (~6 M accesses per sim-second).
-            (run_for.as_secs_f64() * 6.0e6 / 2.0) as u64,
-            0.7,
-            1600,
-        );
-        sys.add_process(w.address_space_pages(), PageSize::Base);
-        let wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
-        let mut policy = kind.build(scale);
-
-        // Sample FMAR per eighth via interval snapshots of the counters.
-        let mut interval_fmar = Vec::new();
-        let mut prev = sys.stats.clone();
-        let mut carried_sys = sys;
-        let mut carried_wls = wls;
-        policy.init(&mut carried_sys);
-        for q in 1..=8u64 {
-            run_until(
-                &mut carried_sys,
-                &mut carried_wls,
-                &mut *policy,
-                run_for / 8 * q,
-            );
-            let delta = carried_sys.stats.delta_since(&prev);
-            prev = carried_sys.stats.clone();
-            interval_fmar.push(delta.fmar());
-        }
+        let (interval_fmar, _) = adapt_run(kind, scale);
         // The dip is the post-shift minimum; recovery is how much of the
         // pre-shift level the final interval regains.
         let pre = interval_fmar[..4].iter().cloned().fold(0.0f64, f64::max);
@@ -165,65 +140,19 @@ pub fn run_adapt(scale: &Scale) -> String {
     t.render()
 }
 
-/// Minimal driver loop without policy re-initialization (quarter-by-quarter
-/// driving for the adaptation experiment).
-fn run_until(
-    sys: &mut TieredSystem,
-    workloads: &mut [Box<dyn Workload>],
-    policy: &mut dyn TieringPolicy,
-    until: Nanos,
-) {
-    while let Some(pid) = sys.min_vtime_process() {
-        let t = sys.process(pid).vtime;
-        while let Some(deadline) = sys.events.next_deadline() {
-            if deadline > t {
-                break;
-            }
-            let fire_at = deadline.max(sys.clock.now());
-            sys.clock.advance_to(fire_at);
-            let (_, token) = sys.events.pop_due(deadline).expect("peeked");
-            sys.count_daemon_wakeup();
-            policy.on_event(sys, token);
-        }
-        if t > sys.clock.now() {
-            sys.clock.advance_to(t);
-        }
-        if t >= until {
-            break;
-        }
-        let Some(req) = workloads[pid.0 as usize].next_access() else {
-            sys.process_mut(pid).running = false;
-            continue;
-        };
-        if req.think > Nanos::ZERO {
-            sys.process_mut(pid).vtime += req.think;
-            sys.stats.user_time += req.think;
-        }
-        let res = sys.access(pid, req.vpn, req.write);
-        if res.hint_fault {
-            policy.on_hint_fault(sys, pid, req.vpn, req.write, &res);
-        }
-        policy.on_access(sys, pid, req.vpn, req.write);
-    }
-}
-
 /// cgroup memory-limit experiment: a confined Chrono process keeps its hot
 /// pages fast while the overflow is reclaimed to swap.
 pub fn run_limits(scale: &Scale) -> String {
     let pages = 6144u32;
-    let mut sys = TieredSystem::new(SystemConfig::quarter_fast(pages + pages / 4));
-    let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(pages, 0.7, 1700));
-    let pid = sys.add_process(w.address_space_pages(), PageSize::Base);
+    let workloads = pmbench(1, pages, 0.7, 1700);
+    let mut bed = Testbed::new(scale, pages + pages / 4, PageSize::Base, None, workloads);
     // Confine to 70 % of the working set: overflow must go to swap.
+    let pid = ProcessId(0);
     let limit = (pages as f64 * 0.7) as u32;
-    sys.set_memory_limit(pid, Some(limit));
-    let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
-    let mut policy = PolicyKind::Chrono.build(scale);
-    let r = SimulationDriver::new(DriverConfig {
-        run_for: scale.run_for,
-        ..Default::default()
-    })
-    .run(&mut sys, &mut wls, &mut *policy);
+    bed.sys.set_memory_limit(pid, Some(limit));
+    let kind = PolicyKind::Chrono;
+    let r = bed.run(kind.name(), &mut *kind.build(scale), None);
+    let sys = &bed.sys;
 
     let mut t = Table::new(
         "Extension: cgroup memory limit under Chrono",
@@ -253,4 +182,26 @@ pub fn run_limits(scale: &Scale) -> String {
     t.row(&["FMAR".into(), format!("{:.1}%", sys.stats.fmar() * 100.0)]);
     t.row(&["accesses completed".into(), format!("{}", r.accesses)]);
     t.render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// At a reduced length, the eighth-stepped Chrono run completes its
+    /// async promotions and ends counter for counter where one
+    /// uninterrupted run of the same length does.
+    #[test]
+    fn stepped_chrono_run_finishes_its_promotions() {
+        let scale = Scale {
+            run_for: Nanos::from_millis(200),
+            ..Scale::default_scale()
+        };
+        let (_, stepped) = adapt_run(PolicyKind::Chrono, &scale);
+        assert!(stepped.promoted_pages > 0, "no promotion completed");
+        let scale = scale.with_run_multiplier(2);
+        let mut bed = adapt_testbed(&scale);
+        bed.run("Chrono", &mut *PolicyKind::Chrono.build(&scale), None);
+        assert_eq!(format!("{stepped:?}"), format!("{:?}", bed.sys.stats));
+    }
 }

@@ -8,15 +8,14 @@
 
 use std::collections::HashMap;
 
-use tiered_mem::{PageSize, TierId};
+use tiered_mem::{PageSize, TierId, Vpn};
 use tiering_metrics::Table;
-use tiering_policies::{DriverConfig, SimulationDriver};
 use workloads::{
     Graph500Config, Graph500Workload, GraphKernel, KvFlavor, KvStoreConfig, KvStoreWorkload,
     PmbenchConfig, PmbenchWorkload, Workload,
 };
 
-use crate::runner::{quarter_system, PolicyKind, Scale};
+use crate::runner::{PolicyKind, Scale, Testbed};
 
 struct RegionStats {
     dram_avg: f64,
@@ -26,28 +25,25 @@ struct RegionStats {
 
 fn profile(workload: Box<dyn Workload>, scale: &Scale) -> RegionStats {
     let pages = workload.address_space_pages();
-    let mut sys = quarter_system(scale, pages + pages / 4);
-    sys.add_process(pages, PageSize::Base);
-    let mut wls = vec![workload];
-    let mut policy = PolicyKind::LinuxNb.build(scale);
+    let wls = vec![workload];
+    let mut bed = Testbed::new(scale, pages + pages / 4, PageSize::Base, None, wls);
+    let kind = PolicyKind::LinuxNb;
     let mut counts: HashMap<u32, [u64; 2]> = HashMap::new();
-    let r = SimulationDriver::new(DriverConfig {
-        run_for: scale.run_for,
-        ..Default::default()
-    })
-    .run_observed(&mut sys, &mut wls, &mut *policy, |_pid, vpn, _w, tier| {
-        counts.entry(vpn.0).or_insert([0, 0])[tier.index()] += 1;
-    });
+    let mut tally = |_pid, vpn: Vpn, _w, tier: TierId| {
+        // Every tier below DRAM counts as NVM, so longer chains tally too.
+        counts.entry(vpn.0).or_insert([0, 0])[usize::from(tier != TierId::FAST)] += 1;
+    };
+    let r = bed.run(kind.name(), &mut *kind.build(scale), Some(&mut tally));
 
     let secs = r.makespan.as_secs_f64().max(1e-9);
     let mut dram: Vec<u64> = Vec::new();
     let mut nvm: Vec<u64> = Vec::new();
     for c in counts.values() {
-        if c[TierId::FAST.index()] > 0 {
-            dram.push(c[TierId::FAST.index()]);
+        if c[0] > 0 {
+            dram.push(c[0]);
         }
-        if c[TierId::SLOW.index()] > 0 {
-            nvm.push(c[TierId::SLOW.index()]);
+        if c[1] > 0 {
+            nvm.push(c[1]);
         }
     }
     nvm.sort_unstable_by(|a, b| b.cmp(a));
@@ -124,4 +120,22 @@ pub fn run(scale: &Scale) -> String {
         ]);
     }
     t.render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sim_clock::Nanos;
+
+    #[test]
+    fn three_tier_accesses_count_as_nvm() {
+        let scale = Scale {
+            run_for: Nanos::from_millis(20),
+            topology: crate::runner::Topology::ThreeTier,
+            ..Scale::default_scale()
+        };
+        let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(1024, 0.7, 11));
+        let s = profile(Box::new(w), &scale);
+        assert!(s.dram_avg > 0.0 && s.nvm_avg > 0.0);
+    }
 }

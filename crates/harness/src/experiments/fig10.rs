@@ -4,41 +4,26 @@
 use std::collections::HashMap;
 
 use chrono_core::{ChronoConfig, ChronoPolicy};
-use tiered_mem::PageSize;
+use tiered_mem::{PageSize, Vpn};
 use tiering_metrics::Table;
-use tiering_policies::{DriverConfig, SimulationDriver};
-use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
-use crate::runner::{quarter_system, Scale};
+use crate::runner::{pmbench, PolicyKind, Scale, Testbed};
 
 const PAGES: u32 = 8192;
 
-/// Runs a single-process Gaussian pmbench under full Chrono and returns the
-/// policy (with CIT samples and tuning histories) plus per-page access
-/// counts and the makespan in seconds.
+/// Runs a single-process Gaussian pmbench under full Chrono for twice the
+/// scale's run length and returns the policy (with CIT samples and tuning
+/// histories) plus per-page access counts and the makespan in seconds.
 fn chrono_profile(scale: &Scale) -> (ChronoPolicy, HashMap<u32, u64>, f64) {
-    let mut sys = quarter_system(scale, PAGES + PAGES / 4);
-    crate::sink::arm(&mut sys);
-    let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(PAGES, 0.95, 1010));
-    sys.add_process(w.address_space_pages(), PageSize::Base);
-    let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
-    let cfg = ChronoConfig {
-        p_victim: 0.002,
-        ..ChronoConfig::scaled(scale.scan_period, scale.scan_step)
-    };
-    let mut policy = ChronoPolicy::new(cfg);
+    let scale = &scale.clone().with_run_multiplier(2);
+    let workloads = pmbench(1, PAGES, 0.95, 1010);
+    let mut bed = Testbed::new(scale, PAGES + PAGES / 4, PageSize::Base, None, workloads);
+    let mut policy = ChronoPolicy::new(PolicyKind::Chrono.chrono_config(scale));
     policy.collect_cit_samples = true;
     let mut counts: HashMap<u32, u64> = HashMap::new();
-    let r = SimulationDriver::new(DriverConfig {
-        run_for: scale.run_for * 2,
-        ..Default::default()
-    })
-    .run_observed(&mut sys, &mut wls, &mut policy, |_p, vpn, _w, _t| {
-        *counts.entry(vpn.0).or_insert(0) += 1;
-    });
-    let secs = r.makespan.as_secs_f64();
-    crate::sink::finish_run("Chrono", &sys);
-    (policy, counts, secs)
+    let mut tally = |_pid, vpn: Vpn, _w, _tier| *counts.entry(vpn.0).or_insert(0) += 1;
+    let r = bed.run("Chrono", &mut policy, Some(&mut tally));
+    (policy, counts, r.makespan.as_secs_f64())
 }
 
 /// Fig 10a: collected CITs versus the access probability density across the
@@ -133,16 +118,17 @@ pub fn run_10c(scale: &Scale) -> String {
     t.render()
 }
 
-/// The Fig 10d parameter multipliers.
-pub const MULTIPLIERS: [f64; 7] = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
+/// The sensitivity multipliers, 2^-3 .. 2^3.
+const MULTIPLIERS: [f64; 7] = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
 
-/// Throughput of full Chrono with one parameter scaled by `mult`.
-pub fn sensitivity_cell(scale: &Scale, param: &str, mult: f64) -> f64 {
-    let base = ChronoConfig {
-        p_victim: 0.002,
-        ..ChronoConfig::scaled(scale.scan_period, scale.scan_step)
-    };
-    let cfg = match param {
+/// The parameters Figs 10d and 11b scale.
+const PARAMS: [&str; 4] = ["scan-step", "scan-period", "p-victim", "delta-step"];
+
+/// The scale's full Chrono configuration with one parameter scaled by
+/// `mult`.
+fn scaled_config(scale: &Scale, param: &str, mult: f64) -> ChronoConfig {
+    let base = PolicyKind::Chrono.chrono_config(scale);
+    match param {
         "scan-step" => ChronoConfig {
             scan_step_pages: ((base.scan_step_pages as f64 * mult) as u32).max(16),
             ..base
@@ -160,36 +146,28 @@ pub fn sensitivity_cell(scale: &Scale, param: &str, mult: f64) -> f64 {
             ..base
         },
         _ => unreachable!("unknown sensitivity parameter {param}"),
-    };
-    let total = 6u32 * 2048;
-    let mut sys = quarter_system(scale, total + total / 8);
-    crate::sink::arm(&mut sys);
-    let mut wls: Vec<Box<dyn Workload>> = Vec::new();
-    for i in 0..6 {
-        let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(2048, 0.7, 1100 + i));
-        sys.add_process(w.address_space_pages(), PageSize::Base);
-        wls.push(Box::new(w));
     }
-    let mut policy = ChronoPolicy::new(cfg);
-    let r = SimulationDriver::new(DriverConfig {
-        run_for: scale.run_for,
-        ..Default::default()
-    })
-    .run(&mut sys, &mut wls, &mut policy);
-    crate::sink::finish_run(&format!("sens-{param}-{mult}"), &sys);
-    r.throughput()
 }
 
-/// Fig 10d: relative performance as each parameter scales 2^-3 .. 2^3.
-pub fn run_10d(scale: &Scale) -> String {
+/// Renders a sensitivity table: each parameter scaled 2^-3 .. 2^3, every
+/// cell relative to the 1x run. `perf(label, policy)` runs one cell and
+/// returns its performance.
+pub(crate) fn sensitivity_table(
+    title: &str,
+    scale: &Scale,
+    mut perf: impl FnMut(&str, ChronoPolicy) -> f64,
+) -> String {
     let mut t = Table::new(
-        "Fig 10d: sensitivity analysis (relative performance)",
+        title,
         &["Parameter", "1/8x", "1/4x", "1/2x", "1x", "2x", "4x", "8x"],
     );
-    for param in ["scan-step", "scan-period", "p-victim", "delta-step"] {
+    for param in PARAMS {
         let vals: Vec<f64> = MULTIPLIERS
             .iter()
-            .map(|m| sensitivity_cell(scale, param, *m))
+            .map(|&m| {
+                let policy = ChronoPolicy::new(scaled_config(scale, param, m));
+                perf(&format!("sens-{param}-{m}"), policy)
+            })
             .collect();
         let base = vals[3];
         let mut cells = vec![param.to_string()];
@@ -197,4 +175,15 @@ pub fn run_10d(scale: &Scale) -> String {
         t.row(&cells);
     }
     t.render()
+}
+
+/// Fig 10d: relative throughput of full Chrono on six pmbench processes.
+pub fn run_10d(scale: &Scale) -> String {
+    let title = "Fig 10d: sensitivity analysis (relative performance)";
+    sensitivity_table(title, scale, |label, mut policy| {
+        let total = 6u32 * 2048;
+        let workloads = pmbench(6, 2048, 0.7, 1100);
+        let mut bed = Testbed::new(scale, total + total / 8, PageSize::Base, None, workloads);
+        bed.run(label, &mut policy, None).throughput()
+    })
 }

@@ -1,14 +1,13 @@
 //! Fig 11: Graph500 — execution time under varying working-set size and
 //! page granularity (a), and parameter sensitivity on the graph workload (b).
 
-use chrono_core::{ChronoConfig, ChronoPolicy};
 use sim_clock::Nanos;
 use tiered_mem::PageSize;
 use tiering_metrics::Table;
-use tiering_policies::{DriverConfig, SimulationDriver};
+use tiering_policies::{DriverConfig, TieringPolicy};
 use workloads::{Graph500Config, Graph500Workload, GraphKernel, Workload};
 
-use crate::runner::{quarter_system, PolicyKind, Scale};
+use crate::runner::{PolicyKind, Scale, Testbed};
 
 /// (label, CSR pages target, total frames): the paper's 128/192/256 GB
 /// working sets on 256 GB of memory, scaled preserving the ratios (50 %,
@@ -58,6 +57,24 @@ fn graph_scale(scale: &Scale) -> Scale {
     }
 }
 
+/// Runs the two-process graph workload of `pages` on `frames` to
+/// completion under `policy` and returns its simulated execution time.
+fn graph_run(
+    scale: &Scale,
+    label: &str,
+    policy: &mut dyn TieringPolicy,
+    pages: u32,
+    frames: u32,
+    page_size: PageSize,
+) -> Nanos {
+    // Finite workload: the horizon only bounds a run that never finishes.
+    let driver = Some(DriverConfig::for_secs(3600));
+    let mut bed = Testbed::new(scale, frames, page_size, driver, graph_workload(pages, 2));
+    let r = bed.run(label, policy, None);
+    assert!(r.workloads_finished, "graph run must complete");
+    r.makespan
+}
+
 /// Execution time (simulated) of one policy/size/granularity cell.
 pub fn exec_time(
     kind: PolicyKind,
@@ -67,19 +84,8 @@ pub fn exec_time(
     page_size: PageSize,
 ) -> Nanos {
     let scale = &graph_scale(scale);
-    let mut sys = quarter_system(scale, frames);
-    let mut wls = graph_workload(pages, 2);
-    for w in &wls {
-        sys.add_process(w.address_space_pages(), page_size);
-    }
     let mut policy = kind.build(scale);
-    let r = SimulationDriver::new(DriverConfig {
-        run_for: Nanos::from_secs(3600), // finite workload: run to completion
-        ..Default::default()
-    })
-    .run(&mut sys, &mut wls, &mut *policy);
-    assert!(r.workloads_finished, "graph run must complete");
-    r.makespan
+    graph_run(scale, kind.name(), &mut *policy, pages, frames, page_size)
 }
 
 /// Fig 11a: execution time across sizes and page granularities.
@@ -118,62 +124,14 @@ pub fn run_11a(scale: &Scale) -> String {
     out
 }
 
-/// Fig 11b: sensitivity of Chrono's parameters on the graph workload.
+/// Fig 11b: sensitivity of Chrono's parameters on the graph workload,
+/// reported as relative performance = inverse execution time.
 pub fn run_11b(scale: &Scale) -> String {
-    let mut t = Table::new(
-        "Fig 11b: Graph500 sensitivity analysis (relative performance)",
-        &["Parameter", "1/8x", "1/4x", "1/2x", "1x", "2x", "4x", "8x"],
-    );
-    for param in ["scan-step", "scan-period", "p-victim", "delta-step"] {
-        let vals: Vec<f64> = super::fig10::MULTIPLIERS
-            .iter()
-            .map(|m| graph_sensitivity_cell(scale, param, *m))
-            .collect();
-        let base = vals[3];
-        let mut cells = vec![param.to_string()];
-        cells.extend(vals.iter().map(|v| format!("{:.2}", v / base)));
-        t.row(&cells);
-    }
-    t.render()
-}
-
-fn graph_sensitivity_cell(scale: &Scale, param: &str, mult: f64) -> f64 {
+    let title = "Fig 11b: Graph500 sensitivity analysis (relative performance)";
     let scale = &graph_scale(scale);
-    let base = ChronoConfig {
-        p_victim: 0.002,
-        ..ChronoConfig::scaled(scale.scan_period, scale.scan_step)
-    };
-    let cfg = match param {
-        "scan-step" => ChronoConfig {
-            scan_step_pages: ((base.scan_step_pages as f64 * mult) as u32).max(16),
-            ..base
-        },
-        "scan-period" => ChronoConfig {
-            scan_period: base.scan_period.scale_f64(mult),
-            ..base
-        },
-        "p-victim" => ChronoConfig {
-            p_victim: base.p_victim * mult,
-            ..base
-        },
-        "delta-step" => ChronoConfig {
-            delta_step: (base.delta_step * mult).min(1.0),
-            ..base
-        },
-        _ => unreachable!("unknown sensitivity parameter {param}"),
-    };
     let (_, pages, frames) = SIZES[1];
-    let mut sys = quarter_system(scale, frames);
-    let mut wls = graph_workload(pages, 2);
-    for w in &wls {
-        sys.add_process(w.address_space_pages(), PageSize::Base);
-    }
-    let mut policy = ChronoPolicy::new(cfg);
-    let r = SimulationDriver::new(DriverConfig {
-        run_for: Nanos::from_secs(3600),
-        ..Default::default()
+    super::fig10::sensitivity_table(title, scale, |label, mut policy| {
+        let t = graph_run(scale, label, &mut policy, pages, frames, PageSize::Base);
+        1.0 / t.as_secs_f64()
     })
-    .run(&mut sys, &mut wls, &mut policy);
-    // Sensitivity is reported as relative performance = inverse exec time.
-    1.0 / r.makespan.as_secs_f64()
 }

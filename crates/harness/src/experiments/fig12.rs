@@ -1,7 +1,6 @@
 //! Fig 12: in-memory key-value store throughput — Memcached (a) and
 //! Redis (b) under memtier-style Gaussian SET/GET mixes.
 
-use tiered_mem::PageSize;
 use tiering_metrics::Table;
 use workloads::{KvFlavor, KvStoreConfig, KvStoreWorkload, Workload};
 
@@ -13,12 +12,7 @@ const PROCS: usize = 4;
 
 /// Throughput of one (flavor, set ratio, policy) cell.
 pub fn run_cell(kind: PolicyKind, scale: &Scale, flavor: KvFlavor, set_ratio: f64) -> f64 {
-    let page_size = if kind == PolicyKind::Memtis {
-        PageSize::Huge2M
-    } else {
-        PageSize::Base
-    };
-    let run = run_policy(kind, scale, FRAMES, page_size, None, || {
+    let run = run_policy(kind, scale, FRAMES, kind.page_size(), None, || {
         (0..PROCS)
             .map(|i| {
                 Box::new(KvStoreWorkload::new(KvStoreConfig::sized_to_pages(

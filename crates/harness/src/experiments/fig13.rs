@@ -3,9 +3,8 @@
 
 use tiered_mem::PageSize;
 use tiering_metrics::Table;
-use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
-use crate::runner::{run_policy, PolicyKind, Scale};
+use crate::runner::{pmbench, run_policy, PolicyKind, Scale};
 
 const PROCS: usize = 6;
 const PAGES: u32 = 2048;
@@ -13,18 +12,16 @@ const PAGES: u32 = 2048;
 /// Throughput of one (variant, read ratio) cell.
 pub fn run_cell(kind: PolicyKind, scale: &Scale, read_ratio: f64) -> f64 {
     let total = PROCS as u32 * PAGES;
-    let run = run_policy(kind, scale, total + total / 8, PageSize::Base, None, || {
-        (0..PROCS)
-            .map(|i| {
-                Box::new(PmbenchWorkload::new(PmbenchConfig::paper_skewed(
-                    PAGES,
-                    read_ratio,
-                    1400 + i as u64,
-                ))) as Box<dyn Workload>
-            })
-            .collect()
-    });
-    run.throughput()
+    let workloads = || pmbench(PROCS, PAGES, read_ratio, 1400);
+    run_policy(
+        kind,
+        scale,
+        total + total / 8,
+        PageSize::Base,
+        None,
+        workloads,
+    )
+    .throughput()
 }
 
 /// Regenerates Fig 13.

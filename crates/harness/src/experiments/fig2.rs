@@ -2,10 +2,9 @@
 
 use tiered_mem::{PageSize, TierId, Vpn};
 use tiering_metrics::{ConfusionCounts, Table};
-use tiering_policies::{DriverConfig, Memtis, MemtisConfig, SimulationDriver};
-use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
+use tiering_policies::{DriverConfig, Memtis, MemtisConfig};
 
-use crate::runner::{quarter_system, PolicyKind, Scale};
+use crate::runner::{pmbench, PolicyKind, Scale, Testbed};
 
 const PROCS: usize = 8;
 const PAGES_PER_PROC: u32 = 2048;
@@ -34,45 +33,34 @@ pub fn run_2a(scale: &Scale) -> String {
         PolicyKind::Chrono,
     ] {
         let total = PROCS as u32 * PAGES_PER_PROC;
-        let mut sys = quarter_system(scale, total + total / 4);
-        let mut wls: Vec<Box<dyn Workload>> = Vec::new();
-        for i in 0..PROCS {
-            let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(
-                PAGES_PER_PROC,
-                0.95,
-                300 + i as u64,
-            ));
-            // Memtis ran with huge pages in the paper; this experiment is
-            // explicitly base-page-oriented, so every policy (including
-            // Memtis — "our benchmark is base-page oriented") sees 4 KiB
-            // pages except Memtis, which keeps its recommended huge setup
-            // and pays the fragmentation the paper highlights.
-            let size = if kind == PolicyKind::Memtis {
-                PageSize::Huge2M
-            } else {
-                PageSize::Base
-            };
-            sys.add_process(w.address_space_pages(), size);
-            wls.push(Box::new(w));
-        }
-        let mut policy = kind.build(scale);
+        // Memtis ran with huge pages in the paper; this experiment is
+        // explicitly base-page-oriented, so every policy sees 4 KiB pages
+        // except Memtis, which keeps its recommended huge setup and pays the
+        // fragmentation the paper highlights.
+        let mut bed = Testbed::new(
+            scale,
+            total + total / 4,
+            kind.page_size(),
+            Some(DriverConfig {
+                run_for: scale.run_for,
+                track_slow_accesses: true,
+                ..Default::default()
+            }),
+            pmbench(PROCS, PAGES_PER_PROC, 0.95, 300),
+        );
         // Skip the placement warmup (first ~third of accesses, shared by all
         // policies) so the scores reflect steady-state identification.
         let mut seen = 0u64;
         let warmup_accesses = 4_000_000u64;
         let mut counts = ConfusionCounts::default();
-        let r = SimulationDriver::new(DriverConfig {
-            run_for: scale.run_for,
-            track_slow_accesses: true,
-            ..Default::default()
-        })
-        .run_observed(&mut sys, &mut wls, &mut *policy, |_pid, vpn, _w, tier| {
+        let mut tally = |_pid, vpn: Vpn, _w, tier: TierId| {
             seen += 1;
             if seen > warmup_accesses {
                 counts.tally(in_hot_center(PAGES_PER_PROC, vpn), tier == TierId::FAST);
             }
-        });
-        let ppr = sys.stats.promoted_pages as f64 / r.accessed_slow_pages.max(1) as f64;
+        };
+        let r = bed.run(kind.name(), &mut *kind.build(scale), Some(&mut tally));
+        let ppr = bed.sys.stats.promoted_pages as f64 / r.accessed_slow_pages.max(1) as f64;
         t.row(&[
             kind.name().to_string(),
             format!("{:.3}", counts.precision()),
@@ -104,17 +92,8 @@ pub fn run_2b(scale: &Scale) -> String {
         ("Base-Page", PageSize::Base),
     ] {
         let total = PROCS as u32 * PAGES_PER_PROC;
-        let mut sys = quarter_system(scale, total + total / 4);
-        let mut wls: Vec<Box<dyn Workload>> = Vec::new();
-        for i in 0..PROCS {
-            let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(
-                PAGES_PER_PROC,
-                0.95,
-                300 + i as u64,
-            ));
-            sys.add_process(w.address_space_pages(), page_size);
-            wls.push(Box::new(w));
-        }
+        let workloads = pmbench(PROCS, PAGES_PER_PROC, 0.95, 300);
+        let mut bed = Testbed::new(scale, total + total / 4, page_size, None, workloads);
         let mut policy = Memtis::new(MemtisConfig {
             sample_period: scale.memtis_sample_period,
             migrate_interval: scale.scan_period / 10,
@@ -124,11 +103,7 @@ pub fn run_2b(scale: &Scale) -> String {
             split_enabled: false, // isolate the sampling statistics
             seed: 0x2B,
         });
-        SimulationDriver::new(DriverConfig {
-            run_for: scale.run_for,
-            ..Default::default()
-        })
-        .run(&mut sys, &mut wls, &mut policy);
+        bed.run(label, &mut policy, None);
 
         let dist = policy.bin_distribution();
         let sampled: u64 = dist[1..].iter().sum();

@@ -6,11 +6,9 @@
 //! working-set : memory ratios (~98 %, ~100 %, ~50 % utilization at a 25 %
 //! fast share). Memtis runs with huge pages, its recommended setting.
 
-use tiered_mem::PageSize;
 use tiering_metrics::Table;
-use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
-use crate::runner::{run_policy, PolicyKind, Scale};
+use crate::runner::{pmbench, run_policy, PolicyKind, Scale};
 
 /// The scaled configurations: (label, processes, pages/process, total frames).
 pub const CONFIGS: [(&str, usize, u32, u32); 3] = [
@@ -36,23 +34,8 @@ pub fn run_cell(
     frames: u32,
     read_ratio: f64,
 ) -> f64 {
-    let page_size = if kind == PolicyKind::Memtis {
-        PageSize::Huge2M
-    } else {
-        PageSize::Base
-    };
-    let run = run_policy(kind, scale, frames, page_size, None, || {
-        (0..procs)
-            .map(|i| {
-                Box::new(PmbenchWorkload::new(PmbenchConfig::paper_skewed(
-                    pages,
-                    read_ratio,
-                    600 + i as u64,
-                ))) as Box<dyn Workload>
-            })
-            .collect()
-    });
-    run.throughput()
+    let workloads = || pmbench(procs, pages, read_ratio, 600);
+    run_policy(kind, scale, frames, kind.page_size(), None, workloads).throughput()
 }
 
 /// Regenerates Fig 6 (all three subfigures).

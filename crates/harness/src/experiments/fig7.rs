@@ -3,33 +3,17 @@
 //! ratios (7b–7e).
 
 use sim_clock::Nanos;
-use tiered_mem::PageSize;
 use tiering_metrics::{LatencyHistogram, Table};
-use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
-use crate::runner::{run_policy, PolicyKind, Scale, StandardRun};
+use crate::runner::{pmbench, run_policy, PolicyKind, Scale, StandardRun};
 
 const PROCS: usize = 10;
 const PAGES: u32 = 2400;
 const FRAMES: u32 = 30_000;
 
 fn one_run(kind: PolicyKind, scale: &Scale, read_ratio: f64) -> StandardRun {
-    let page_size = if kind == PolicyKind::Memtis {
-        PageSize::Huge2M
-    } else {
-        PageSize::Base
-    };
-    run_policy(kind, scale, FRAMES, page_size, None, || {
-        (0..PROCS)
-            .map(|i| {
-                Box::new(PmbenchWorkload::new(PmbenchConfig::paper_skewed(
-                    PAGES,
-                    read_ratio,
-                    700 + i as u64,
-                ))) as Box<dyn Workload>
-            })
-            .collect()
-    })
+    let workloads = || pmbench(PROCS, PAGES, read_ratio, 700);
+    run_policy(kind, scale, FRAMES, kind.page_size(), None, workloads)
 }
 
 fn cdf_table(reads: &LatencyHistogram, writes: &LatencyHistogram) -> String {

@@ -2,11 +2,9 @@
 //! kernel-time share, and context-switch rate — for the 50-process pmbench
 //! workload, absolute values plus normalization to Linux-NB.
 
-use tiered_mem::PageSize;
 use tiering_metrics::Table;
-use workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
-use crate::runner::{run_policy, PolicyKind, Scale};
+use crate::runner::{pmbench, run_policy, PolicyKind, Scale};
 
 const PROCS: usize = 10;
 const PAGES: u32 = 2400;
@@ -14,22 +12,8 @@ const FRAMES: u32 = 30_000;
 
 /// One policy's Fig 8 metrics: (FMAR %, kernel %, ctx switches/s).
 pub fn metrics_for(kind: PolicyKind, scale: &Scale) -> (f64, f64, f64) {
-    let page_size = if kind == PolicyKind::Memtis {
-        PageSize::Huge2M
-    } else {
-        PageSize::Base
-    };
-    let run = run_policy(kind, scale, FRAMES, page_size, None, || {
-        (0..PROCS)
-            .map(|i| {
-                Box::new(PmbenchWorkload::new(PmbenchConfig::paper_skewed(
-                    PAGES,
-                    0.70,
-                    800 + i as u64,
-                ))) as Box<dyn Workload>
-            })
-            .collect()
-    });
+    let workloads = || pmbench(PROCS, PAGES, 0.70, 800);
+    let run = run_policy(kind, scale, FRAMES, kind.page_size(), None, workloads);
     (
         run.sys.stats.fmar() * 100.0,
         run.sys.stats.kernel_time_fraction() * 100.0,

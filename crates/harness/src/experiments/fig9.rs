@@ -27,13 +27,11 @@ pub fn histories(kind: PolicyKind, scale: &Scale, points: usize) -> Vec<(usize, 
     // Base pages for every policy here, Memtis included: with 512-page
     // cgroup working sets, a 2 MiB unit would be the whole process — the
     // multi-tenant experiment is meaningful only at base granularity.
-    let page_size = PageSize::Base;
-    let _ = kind;
     let run = run_policy(
         kind,
         scale,
         total + total / 8,
-        page_size,
+        PageSize::Base,
         Some(DriverConfig {
             run_for: scale.run_for,
             sample_interval: Some(scale.run_for / 32),

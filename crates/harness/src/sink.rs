@@ -1,9 +1,9 @@
 //! Optional export of traced runs to disk.
 //!
 //! The CLI's `--json <dir>` and `--trace <dir>` flags configure a global
-//! sink; while one is set, every run launched through
-//! [`crate::runner::run_policy`] (and the direct-construction fig 10
-//! experiments) enables the system tracer and, on completion, writes:
+//! sink; while one is set, every experiment run (each is a
+//! [`crate::runner::Testbed`]) enables the system tracer and, on
+//! completion, writes:
 //!
 //! - `<json-dir>/<experiment>__<label>__<n>.json` — per-scan-period counter
 //!   rows (plus a `.csv` twin with the same columns), and

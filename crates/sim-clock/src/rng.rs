@@ -123,12 +123,6 @@ impl DetRng {
         -mean * self.unit_f64().max(f64::MIN_POSITIVE).ln()
     }
 
-    /// Uniform `u32` over the full range (upper bits of the raw stream).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_raw() >> 32) as u32
-    }
-
     /// Uniform `u64` over the full range.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {

@@ -236,25 +236,9 @@ impl MigrationEngine {
     /// channel's backlog. Returns the transaction id.
     ///
     /// The caller has already performed admission checks ([`Self::admits`])
-    /// and reserved `dest_pfns` in the destination frame table.
-    #[allow(clippy::too_many_arguments)]
-    pub fn begin(
-        &mut self,
-        pid: ProcessId,
-        head: Vpn,
-        from: TierId,
-        to: TierId,
-        unit: u32,
-        dest_pfns: Vec<Pfn>,
-        mode: MigrateMode,
-        cost: Nanos,
-        now: Nanos,
-    ) -> MigrationTxnId {
-        self.begin_lane(pid, head, from, to, unit, dest_pfns, mode, cost, now, false)
-    }
-
-    /// [`Self::begin`] with an explicit lane: `evac = true` marks the copy
-    /// as emergency evacuation traffic for flow-conservation accounting.
+    /// and reserved `dest_pfns` in the destination frame table. `evac = true`
+    /// marks the copy as emergency evacuation traffic for flow-conservation
+    /// accounting.
     /// Evacuation copies still queue FIFO on their edge channel — the
     /// "priority" of the lane is that the pump issues them ahead of policy
     /// traffic, not that they preempt copies already admitted.
@@ -378,7 +362,7 @@ mod tests {
     }
 
     fn begin_one(e: &mut MigrationEngine, id_vpn: u32, to: TierId, cost: Nanos) -> MigrationTxnId {
-        e.begin(
+        e.begin_lane(
             ProcessId(0),
             Vpn(id_vpn),
             other(to),
@@ -388,6 +372,7 @@ mod tests {
             MigrateMode::Async,
             cost,
             Nanos::ZERO,
+            false,
         )
     }
 
@@ -563,7 +548,7 @@ mod tests {
     #[test]
     fn sync_transactions_are_due_immediately_and_skip_the_channel() {
         let mut e = eng(8, 100);
-        e.begin(
+        e.begin_lane(
             ProcessId(1),
             Vpn(3),
             TierId::SLOW,
@@ -573,6 +558,7 @@ mod tests {
             MigrateMode::Sync(ProcessId(1)),
             Nanos(500),
             Nanos(40),
+            false,
         );
         assert_eq!(
             e.backlog(TierId::SLOW, TierId::FAST, Nanos(40)),
@@ -601,7 +587,7 @@ mod tests {
             3,
         );
         // One copy on each directed edge of the 3-chain.
-        e.begin(
+        e.begin_lane(
             ProcessId(0),
             Vpn(1),
             TierId(2),
@@ -611,8 +597,9 @@ mod tests {
             MigrateMode::Async,
             Nanos(70),
             Nanos::ZERO,
+            false,
         );
-        e.begin(
+        e.begin_lane(
             ProcessId(0),
             Vpn(2),
             TierId(1),
@@ -622,6 +609,7 @@ mod tests {
             MigrateMode::Async,
             Nanos(90),
             Nanos::ZERO,
+            false,
         );
         let top = begin_one(&mut e, 3, TierId::FAST, Nanos(30));
         // Backlogs accumulate per edge, not per destination tier.

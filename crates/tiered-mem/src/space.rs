@@ -209,15 +209,6 @@ impl AddressSpace {
     }
 }
 
-/// Convenience for tests and policies: tier of a present page.
-pub fn page_tier(e: &PageEntry) -> Option<TierId> {
-    if e.present() {
-        Some(e.tier())
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -417,14 +417,9 @@ impl TieredSystem {
     }
 
     /// The running process with the smallest virtual time, i.e. the next one
-    /// a fair concurrency model would execute.
-    pub fn min_vtime_process(&self) -> Option<ProcessId> {
-        self.min_vtime_process_and_time().map(|(pid, _)| pid)
-    }
-
-    /// Like [`TieredSystem::min_vtime_process`], but also returns that
-    /// process's virtual time — the scan already has it, and handing it back
-    /// saves the driver a second process lookup on its per-access hot path.
+    /// a fair concurrency model would execute, and that virtual time — the
+    /// scan already has it, and handing it back saves the driver a second
+    /// process lookup on its per-access hot path.
     pub fn min_vtime_process_and_time(&self) -> Option<(ProcessId, Nanos)> {
         self.procs
             .iter()
@@ -514,11 +509,6 @@ impl TieredSystem {
     /// `tiering-verify` invariant oracle.
     pub fn in_flight_evac_pages(&self) -> u64 {
         self.engine.in_flight_evac_pages()
-    }
-
-    /// The live fault-injection state, if a plan is attached.
-    pub fn fault_state(&self) -> Option<&FaultState> {
-        self.fault.as_ref()
     }
 
     /// Charges kernel work: always accounted in [`SystemStats::kernel_time`],
@@ -2079,11 +2069,6 @@ impl TieredSystem {
         self.engine.max_backlog(self.clock.now())
     }
 
-    /// Outstanding async copy backlog on the directed edge `from → to`.
-    pub fn edge_backlog(&self, from: TierId, to: TierId) -> Nanos {
-        self.engine.backlog(from, to, self.clock.now())
-    }
-
     /// Schedules a policy event `delay` after the current clock.
     pub fn schedule_in(&mut self, delay: Nanos, token: u64) {
         let at = self.clock.now() + delay;
@@ -2349,11 +2334,12 @@ mod tests {
         let mut sys = small_sys();
         let a = sys.add_process(4, PageSize::Base);
         let b = sys.add_process(4, PageSize::Base);
-        assert_eq!(sys.min_vtime_process(), Some(a));
+        let next = |sys: &TieredSystem| sys.min_vtime_process_and_time().map(|(pid, _)| pid);
+        assert_eq!(next(&sys), Some(a));
         sys.access(a, Vpn(0), false);
-        assert_eq!(sys.min_vtime_process(), Some(b));
+        assert_eq!(next(&sys), Some(b));
         sys.process_mut(b).running = false;
-        assert_eq!(sys.min_vtime_process(), Some(a));
+        assert_eq!(next(&sys), Some(a));
     }
 
     #[test]

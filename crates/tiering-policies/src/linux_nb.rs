@@ -61,12 +61,6 @@ impl LinuxNumaBalancing {
             promo_budget: 0,
         }
     }
-
-    /// Kernel defaults, with the scan step scaled so a pass over `pages`
-    /// takes roughly the kernel's default number of chunks.
-    pub fn with_defaults() -> LinuxNumaBalancing {
-        LinuxNumaBalancing::new(LinuxNbConfig::default())
-    }
 }
 
 impl TieringPolicy for LinuxNumaBalancing {

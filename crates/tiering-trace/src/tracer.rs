@@ -117,11 +117,6 @@ impl Tracer {
         d.value()
     }
 
-    /// [`Tracer::digest`] as a fixed-width hex string (export/golden format).
-    pub fn digest_hex(&self) -> String {
-        format!("{:016x}", self.digest())
-    }
-
     /// Renders the period samples as a JSON document.
     pub fn periods_json(&self, label: &str) -> String {
         export::periods_to_json(label, &self.periods)

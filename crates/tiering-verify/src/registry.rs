@@ -13,7 +13,7 @@
 
 use chrono_core::{CascadeChrono, ChronoConfig, ChronoPolicy, TuningMode};
 use sim_clock::Nanos;
-use tiered_mem::{FaultPlan, MigrationSpec, SystemConfig, TierId};
+use tiered_mem::{FaultPlan, MigrationSpec, PageSize, SystemConfig, TierId};
 use tiering_policies::{
     autotiering::AutoTieringConfig, linux_nb::LinuxNbConfig, multiclock::MultiClockConfig,
     tpp::TppConfig, AutoTiering, FlexMem, FlexMemConfig, LinuxNumaBalancing, Memtis, MemtisConfig,
@@ -253,7 +253,7 @@ pub enum PolicyKind {
     MultiClock,
     /// TPP.
     Tpp,
-    /// Memtis (PEBS + histogram). Page size is chosen by the experiment.
+    /// Memtis (PEBS + histogram), on huge pages ([`PolicyKind::page_size`]).
     Memtis,
     /// FlexMem (PEBS + timeliness hint faults).
     FlexMem,
@@ -351,6 +351,16 @@ impl PolicyKind {
             PolicyKind::ChronoThrice => "chrono-thrice",
             PolicyKind::ChronoManual => "chrono-expert-rate",
             PolicyKind::ChronoFixed => "chrono-manual",
+        }
+    }
+
+    /// The page size the figures run this policy at: Memtis runs huge pages,
+    /// its recommended setting; every other policy runs base pages.
+    pub fn page_size(&self) -> PageSize {
+        if *self == PolicyKind::Memtis {
+            PageSize::Huge2M
+        } else {
+            PageSize::Base
         }
     }
 

@@ -6,31 +6,24 @@
 //! cargo run --release --example graph_analytics
 //! ```
 
-use chrono_repro::harness::runner::{quarter_system, PolicyKind, Scale};
+use chrono_repro::harness::runner::{PolicyKind, Scale, Testbed};
 use chrono_repro::sim_clock::Nanos;
 use chrono_repro::tiered_mem::PageSize;
-use chrono_repro::tiering_policies::{DriverConfig, SimulationDriver};
+use chrono_repro::tiering_policies::DriverConfig;
 use chrono_repro::workloads::{Graph500Config, Graph500Workload, GraphKernel, Workload};
 
 fn exec_time(kind: PolicyKind, page_size: PageSize) -> Nanos {
     let scale = Scale::default_scale();
-    let mut sys = quarter_system(&scale, 12_288);
-    let mut wls: Vec<Box<dyn Workload>> = (0..2)
+    let workloads = (0..2)
         .map(|i| {
             let mut cfg = Graph500Config::sized_to_pages(4_096, GraphKernel::Bfs, 21 + i);
             cfg.roots = 2;
             Box::new(Graph500Workload::new(cfg)) as Box<dyn Workload>
         })
         .collect();
-    for w in &wls {
-        sys.add_process(w.address_space_pages(), page_size);
-    }
-    let mut policy = kind.build(&scale);
-    let r = SimulationDriver::new(DriverConfig {
-        run_for: Nanos::from_secs(600),
-        ..Default::default()
-    })
-    .run(&mut sys, &mut wls, &mut *policy);
+    let driver = Some(DriverConfig::for_secs(600));
+    let mut bed = Testbed::new(&scale, 12_288, page_size, driver, workloads);
+    let r = bed.run(kind.name(), &mut *kind.build(&scale), None);
     assert!(r.workloads_finished, "BFS must run to completion");
     r.makespan
 }

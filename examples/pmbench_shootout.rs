@@ -6,10 +6,8 @@
 //! cargo run --release --example pmbench_shootout [read_pct]
 //! ```
 
-use chrono_repro::harness::{PolicyKind, Scale};
+use chrono_repro::harness::runner::{pmbench, run_policy, PolicyKind, Scale};
 use chrono_repro::sim_clock::Nanos;
-use chrono_repro::tiered_mem::PageSize;
-use chrono_repro::workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
 fn main() {
     let read_pct: f64 = std::env::args()
@@ -40,28 +38,14 @@ fn main() {
 
     let mut baseline = None;
     for kind in [PolicyKind::Static].into_iter().chain(PolicyKind::MAIN) {
-        let page_size = if kind == PolicyKind::Memtis {
-            PageSize::Huge2M
-        } else {
-            PageSize::Base
-        };
-        let run = chrono_repro::harness::runner::run_policy(
+        let workloads = || pmbench(procs, pages, read_ratio, 42);
+        let run = run_policy(
             kind,
             &scale,
             total + total / 8,
-            page_size,
+            kind.page_size(),
             None,
-            || {
-                (0..procs)
-                    .map(|i| {
-                        Box::new(PmbenchWorkload::new(PmbenchConfig::paper_skewed(
-                            pages,
-                            read_ratio,
-                            42 + i as u64,
-                        ))) as Box<dyn Workload>
-                    })
-                    .collect()
-            },
+            workloads,
         );
         let thpt = run.throughput();
         if kind == PolicyKind::LinuxNb {

@@ -22,11 +22,10 @@
 //! cargo run --release --example tier_failover
 //! ```
 
-use chrono_repro::harness::runner::run_policy;
+use chrono_repro::harness::runner::{pmbench, run_policy};
 use chrono_repro::harness::{FaultPlanKind, PolicyKind, Scale, StandardRun, Topology};
 use chrono_repro::sim_clock::Nanos;
 use chrono_repro::tiered_mem::{PageSize, TierHealth, TierId};
-use chrono_repro::workloads::{PmbenchConfig, PmbenchWorkload, Workload};
 
 const TIER_NAMES: [&str; 3] = ["DRAM", "CXL", "PMem"];
 const PAGES: u32 = 4096;
@@ -44,11 +43,7 @@ fn run_once(fault: Option<FaultPlanKind>) -> StandardRun {
         PAGES + PAGES / 4,
         PageSize::Base,
         None,
-        || {
-            vec![Box::new(PmbenchWorkload::new(PmbenchConfig::paper_skewed(
-                PAGES, 0.7, 42,
-            ))) as Box<dyn Workload>]
-        },
+        || pmbench(1, PAGES, 0.7, 42),
     )
 }
 

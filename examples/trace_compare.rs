@@ -5,10 +5,9 @@
 //! cargo run --release --example trace_compare -- Chrono Tpp
 //! ```
 
-use chrono_repro::harness::runner::{run_policy, PolicyKind, Scale};
+use chrono_repro::harness::runner::{pmbench, run_policy, PolicyKind, Scale};
 use chrono_repro::sim_clock::Nanos;
-use chrono_repro::tiered_mem::{PageSize, TieredSystem};
-use chrono_repro::workloads::{PmbenchConfig, PmbenchWorkload, Workload};
+use chrono_repro::tiered_mem::TieredSystem;
 
 fn kind_of(name: &str) -> PolicyKind {
     match name {
@@ -31,23 +30,16 @@ fn traced_run(kind: PolicyKind) -> (TieredSystem, f64) {
     let procs = 6;
     let pages = 2048u32;
     let total = procs as u32 * pages;
-    let page_size = if kind == PolicyKind::Memtis {
-        PageSize::Huge2M
-    } else {
-        PageSize::Base
-    };
     chrono_repro::harness::sink::configure(Some(std::env::temp_dir()), None);
-    let run = run_policy(kind, &scale, total + total / 4, page_size, None, || {
-        (0..procs)
-            .map(|i| {
-                Box::new(PmbenchWorkload::new(PmbenchConfig::paper_skewed(
-                    pages,
-                    0.7,
-                    50 + i as u64,
-                ))) as Box<dyn Workload>
-            })
-            .collect()
-    });
+    let workloads = || pmbench(procs, pages, 0.7, 50);
+    let run = run_policy(
+        kind,
+        &scale,
+        total + total / 4,
+        kind.page_size(),
+        None,
+        workloads,
+    );
     (run.sys, run.result.throughput())
 }
 

@@ -1,10 +1,9 @@
 //! End-to-end integration tests: every policy drives the full substrate on
 //! real workloads, and the paper's qualitative orderings hold.
 
-use chrono_repro::harness::runner::{run_policy, PolicyKind, Scale, Topology};
+use chrono_repro::harness::runner::{pmbench, run_policy, PolicyKind, Scale, Topology};
 use chrono_repro::sim_clock::Nanos;
-use chrono_repro::tiered_mem::{PageSize, TierId};
-use chrono_repro::workloads::{PmbenchConfig, PmbenchWorkload, Workload};
+use chrono_repro::tiered_mem::TierId;
 
 fn quick_scale() -> Scale {
     Scale {
@@ -25,22 +24,15 @@ fn skewed_run_on(kind: PolicyKind, topology: Topology) -> chrono_repro::harness:
     let procs = 6;
     let pages = 2048u32;
     let total = procs as u32 * pages;
-    let page_size = if kind == PolicyKind::Memtis {
-        PageSize::Huge2M
-    } else {
-        PageSize::Base
-    };
-    run_policy(kind, &scale, total + total / 4, page_size, None, || {
-        (0..procs)
-            .map(|i| {
-                Box::new(PmbenchWorkload::new(PmbenchConfig::paper_skewed(
-                    pages,
-                    0.7,
-                    50 + i as u64,
-                ))) as Box<dyn Workload>
-            })
-            .collect()
-    })
+    let workloads = || pmbench(procs, pages, 0.7, 50);
+    run_policy(
+        kind,
+        &scale,
+        total + total / 4,
+        kind.page_size(),
+        None,
+        workloads,
+    )
 }
 
 #[test]
