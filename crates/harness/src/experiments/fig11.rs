@@ -2,12 +2,12 @@
 //! page granularity (a), and parameter sensitivity on the graph workload (b).
 
 use sim_clock::Nanos;
-use tiered_mem::PageSize;
+use tiered_mem::{PageSize, TieredSystem};
 use tiering_metrics::Table;
-use tiering_policies::{DriverConfig, TieringPolicy};
+use tiering_policies::{DriverConfig, RunResult, TieringPolicy};
 use workloads::{Graph500Config, Graph500Workload, GraphKernel, Workload};
 
-use crate::runner::{PolicyKind, Scale, Testbed};
+use crate::runner::{PolicyKind, Scale, StandardRun, Testbed};
 
 /// (label, CSR pages target, total frames): the paper's 128/192/256 GB
 /// working sets on 256 GB of memory, scaled preserving the ratios (50 %,
@@ -58,7 +58,7 @@ fn graph_scale(scale: &Scale) -> Scale {
 }
 
 /// Runs the two-process graph workload of `pages` on `frames` to
-/// completion under `policy` and returns its simulated execution time.
+/// completion under `policy`.
 fn graph_run(
     scale: &Scale,
     label: &str,
@@ -66,13 +66,31 @@ fn graph_run(
     pages: u32,
     frames: u32,
     page_size: PageSize,
-) -> Nanos {
+) -> (RunResult, TieredSystem) {
     // Finite workload: the horizon only bounds a run that never finishes.
     let driver = Some(DriverConfig::for_secs(3600));
     let mut bed = Testbed::new(scale, frames, page_size, driver, graph_workload(pages, 2));
     let r = bed.run(label, policy, None);
     assert!(r.workloads_finished, "graph run must complete");
-    r.makespan
+    (r, bed.sys)
+}
+
+/// One policy/size/granularity cell, run to completion.
+pub(crate) fn cell(
+    kind: PolicyKind,
+    scale: &Scale,
+    pages: u32,
+    frames: u32,
+    page_size: PageSize,
+) -> StandardRun {
+    let scale = &graph_scale(scale);
+    let mut policy = kind.build(scale);
+    let (result, sys) = graph_run(scale, kind.name(), &mut *policy, pages, frames, page_size);
+    StandardRun {
+        sys,
+        result,
+        policy_name: kind.name(),
+    }
 }
 
 /// Execution time (simulated) of one policy/size/granularity cell.
@@ -83,9 +101,7 @@ pub fn exec_time(
     frames: u32,
     page_size: PageSize,
 ) -> Nanos {
-    let scale = &graph_scale(scale);
-    let mut policy = kind.build(scale);
-    graph_run(scale, kind.name(), &mut *policy, pages, frames, page_size)
+    cell(kind, scale, pages, frames, page_size).result.makespan
 }
 
 /// Fig 11a: execution time across sizes and page granularities.
@@ -131,7 +147,7 @@ pub fn run_11b(scale: &Scale) -> String {
     let scale = &graph_scale(scale);
     let (_, pages, frames) = SIZES[1];
     super::fig10::sensitivity_table(title, scale, |label, mut policy| {
-        let t = graph_run(scale, label, &mut policy, pages, frames, PageSize::Base);
-        1.0 / t.as_secs_f64()
+        let (r, _) = graph_run(scale, label, &mut policy, pages, frames, PageSize::Base);
+        1.0 / r.makespan.as_secs_f64()
     })
 }

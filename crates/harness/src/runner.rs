@@ -28,11 +28,16 @@ pub struct Testbed {
 impl Testbed {
     /// Builds a system of `total_frames` on the scale's topology (on the
     /// default `dram-pmem` chain, the paper's 25 % fast share) with the
-    /// scale's migration-engine bounds and fault plan, the plan
-    /// materialized at the run length and checked against the chain.
-    /// Tracing is armed while the sink is active. Each workload becomes one
-    /// process created at `page_size`. `driver` defaults to a run of
-    /// `scale.run_for`.
+    /// scale's migration-engine bounds and fault plan, the plan checked
+    /// against the chain. Tracing is armed while the sink is active. Each
+    /// workload becomes one process created at `page_size`. `driver`
+    /// defaults to a run of `scale.run_for`.
+    ///
+    /// The plan is materialized at the shorter of the driver's horizon and
+    /// `scale.run_for`. A finite workload runs to completion under a long
+    /// backstop horizon (Fig 11's graphs end within seconds of a one-hour
+    /// backstop), and a plan spread over the backstop would schedule its
+    /// mid-run events long after the workload is done.
     pub fn new(
         scale: &Scale,
         total_frames: u32,
@@ -49,7 +54,7 @@ impl Testbed {
             cfg.migration = m.clone();
         }
         if let Some(fault) = &scale.fault {
-            let plan = fault.materialize(scale.fault_seed, driver.run_for);
+            let plan = fault.materialize(scale.fault_seed, driver.run_for.min(scale.run_for));
             if let Err(e) = plan.validate_for(cfg.num_tiers()) {
                 panic!(
                     "fault plan '{}' does not fit the {} topology: {e}",
@@ -249,6 +254,27 @@ mod tests {
         assert_eq!(cfg.migration.inflight_slots, 1);
         assert_eq!(cfg.num_tiers(), 3);
         assert_eq!(bed.sys.num_processes(), 1);
+    }
+
+    #[test]
+    fn canonical_plan_shrinks_the_fast_tier_in_a_graph_run() {
+        // Fig 11's graphs run to completion under a one-hour backstop and
+        // end within seconds; the plan follows `scale.run_for`, so its
+        // mid-run shrink lands inside the run.
+        let scale = Scale {
+            fault: Some(FaultPlanKind::Canonical),
+            ..Scale::default_scale()
+        };
+        let (_, pages, frames) = crate::experiments::fig11::SIZES[0];
+        let run = crate::experiments::fig11::cell(
+            PolicyKind::Chrono,
+            &scale,
+            pages,
+            frames,
+            PageSize::Base,
+        );
+        assert!(run.result.makespan > scale.run_for / 2);
+        assert!(run.sys.stats.offlined_frames > 0, "the shrink never fired");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 pub mod clock;
 pub mod event;
+mod normal;
 pub mod rng;
 
 pub use clock::{Clock, Nanos, MICROSECOND, MILLISECOND, SECOND};

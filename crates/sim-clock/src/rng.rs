@@ -7,6 +7,8 @@
 //! specified) so the streams are stable forever and the crate carries no
 //! external dependencies.
 
+use crate::normal;
+
 /// A deterministic xoshiro256++ random number generator.
 ///
 /// # Examples
@@ -17,7 +19,7 @@
 /// let mut b = DetRng::seed(42);
 /// assert_eq!(a.below(1000), b.below(1000));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetRng {
     s: [u64; 4],
 }
@@ -105,17 +107,64 @@ impl DetRng {
         self.unit_f64() < p
     }
 
-    /// Standard normal deviate via Box–Muller (polar form would need a loop;
-    /// the trig form is branch-free and fast enough here).
-    pub fn std_normal(&mut self) -> f64 {
+    /// The uniform pair one Box–Muller deviate consumes: `u1` kept off zero
+    /// for its logarithm, then `u2`.
+    #[inline]
+    pub(crate) fn uniform_pair(&mut self) -> (f64, f64) {
         let u1 = self.unit_f64().max(f64::MIN_POSITIVE);
-        let u2 = self.unit_f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        (u1, self.unit_f64())
+    }
+
+    /// Standard normal deviate via trig-form Box–Muller. libm's `ln` and
+    /// `cos` are most of its cost; truncated draws over a slot range go
+    /// through [`DetRng::normal_index`], which gives the same slots without
+    /// libm on almost every draw.
+    pub fn std_normal(&mut self) -> f64 {
+        let (u1, u2) = self.uniform_pair();
+        normal::box_muller(u1, u2)
     }
 
     /// Normal deviate with the given mean and standard deviation.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.std_normal()
+    }
+
+    /// A slot in `[0, bound)` drawn from `N(mean, std_dev²)`, tails
+    /// resampled rather than clamped. The result and the draws consumed
+    /// are exactly those of
+    ///
+    /// ```text
+    /// loop {
+    ///     let x = rng.normal(mean, std_dev);
+    ///     if x >= 0.0 && x < bound as f64 { break x as u32 }
+    /// }
+    /// ```
+    ///
+    /// but table kernels replace libm on all draws except those that land
+    /// within about `(|mean| + 9·std_dev)·2⁻³⁰` of a slot edge
+    /// (`sim-clock/src/normal.rs` derives that slack).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sim_clock::DetRng;
+    /// let (mut a, mut b) = (DetRng::seed(3), DetRng::seed(3));
+    /// let slot = a.normal_index(12.0, 3.0, 24);
+    /// let x = loop {
+    ///     let x = b.normal(12.0, 3.0);
+    ///     if x >= 0.0 && x < 24.0 { break x as u32 }
+    /// };
+    /// assert_eq!((slot, a), (x, b));
+    /// ```
+    #[inline]
+    pub fn normal_index(&mut self, mean: f64, std_dev: f64, bound: u32) -> u32 {
+        debug_assert!(bound > 0, "normal_index over an empty range never returns");
+        loop {
+            let (u1, u2) = self.uniform_pair();
+            if let Some(slot) = normal::truncated_step(u1, u2, mean, std_dev, bound) {
+                return slot;
+            }
+        }
     }
 
     /// Exponential deviate with the given mean (inter-arrival times).

@@ -184,12 +184,7 @@ impl KvStoreWorkload {
             KvPopularity::Gaussian { sigma_frac } => {
                 let n = self.cfg.items as f64;
                 let sigma = n * sigma_frac;
-                loop {
-                    let x = self.rng.normal(n / 2.0, sigma);
-                    if x >= 0.0 && x < n {
-                        return x as u32;
-                    }
-                }
+                self.rng.normal_index(n / 2.0, sigma, self.cfg.items)
             }
             KvPopularity::Zipf { .. } => {
                 let z = self.zipf.as_ref().expect("zipf sampler built at new()");
@@ -450,5 +445,24 @@ mod tests {
         );
         // And the hot-centre ground truth does not apply to Zipf.
         assert!(!w.in_hot_center(tiered_mem::Vpn(w.bucket_pages + 10)));
+    }
+
+    #[test]
+    fn gaussian_stream_is_pinned() {
+        // First 16 requests after the init pass of the Gaussian store,
+        // recorded before the draws moved to `DetRng::normal_index`, as
+        // page and write flag: bucket and data page of eight GETs.
+        const VPNS: [u32; 16] = [
+            8, 340, 2, 167, 18, 690, 11, 590, 10, 468, 17, 517, 0, 198, 1, 427,
+        ];
+        const WRITES: [bool; 16] = [false; 16];
+        let mut w = KvStoreWorkload::new(cfg(KvFlavor::Memcached));
+        for _ in 0..(10_000 * 2) {
+            w.next_access().unwrap(); // drain init
+        }
+        for (i, want) in VPNS.into_iter().zip(WRITES).enumerate() {
+            let r = w.next_access().unwrap();
+            assert_eq!((r.vpn.0, r.write), want, "request {i}");
+        }
     }
 }

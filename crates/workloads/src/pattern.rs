@@ -49,8 +49,11 @@ impl AccessPattern for UniformPattern {
 pub struct GaussianPattern {
     pages: u32,
     stride: u32,
-    /// Standard deviation as a fraction of the strided index range.
-    sigma_frac: f64,
+    /// Number of logical (strided) slots.
+    slots: u32,
+    /// Centre and standard deviation of the slot draw, in slots.
+    center: f64,
+    sigma: f64,
 }
 
 impl GaussianPattern {
@@ -62,21 +65,19 @@ impl GaussianPattern {
         assert!(pages > 0 && stride > 0);
         assert!(stride <= pages, "stride must not exceed the page count");
         assert!(sigma_frac > 0.0);
+        let slots = pages / stride;
         GaussianPattern {
             pages,
             stride,
-            sigma_frac,
+            slots,
+            center: slots as f64 / 2.0,
+            sigma: slots as f64 * sigma_frac,
         }
     }
 
     /// The paper's Section 5.1 configuration: stride 2, σ = 12.5 %.
     pub fn paper_default(pages: u32) -> GaussianPattern {
         GaussianPattern::new(pages, 2, 0.125)
-    }
-
-    /// Number of logical (strided) slots.
-    fn slots(&self) -> u32 {
-        self.pages / self.stride
     }
 
     /// Whether `vpn` lies in the centre `frac` of the address range — the
@@ -90,18 +91,9 @@ impl GaussianPattern {
 
 impl AccessPattern for GaussianPattern {
     fn sample(&mut self, rng: &mut DetRng) -> Vpn {
-        let slots = self.slots() as f64;
-        let center = slots / 2.0;
-        let sigma = slots * self.sigma_frac;
-        // Resample tails rather than clamping, so the edges don't accumulate
-        // spurious hot spikes.
-        let slot = loop {
-            let x = rng.normal(center, sigma);
-            if x >= 0.0 && x < slots {
-                break x as u32;
-            }
-        };
-        Vpn(slot * self.stride)
+        // Tails are resampled rather than clamped, so the edges don't
+        // accumulate spurious hot spikes.
+        Vpn(rng.normal_index(self.center, self.sigma, self.slots) * self.stride)
     }
 
     fn pages(&self) -> u32 {

@@ -81,12 +81,7 @@ impl Workload for PhasedWorkload {
         self.issued += 1;
         let center = self.centers[phase] * self.pages as f64;
         let sigma = self.sigma_frac * self.pages as f64;
-        let vpn = loop {
-            let x = self.rng.normal(center, sigma);
-            if x >= 0.0 && x < self.pages as f64 {
-                break Vpn(x as u32);
-            }
-        };
+        let vpn = Vpn(self.rng.normal_index(center, sigma, self.pages));
         let write = !self.rng.chance(self.read_ratio);
         Some(AccessReq {
             vpn,
@@ -156,5 +151,25 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 25);
+    }
+
+    #[test]
+    fn stream_is_pinned_for_the_churn_shape() {
+        // First 16 requests of the churn workload (65 536 pages, centres
+        // 0.15/0.65/0.35/0.85, seed 4242), recorded before the draws moved
+        // to `DetRng::normal_index`, as page and write flag.
+        const VPNS: [u32; 16] = [
+            14331, 18914, 9752, 17196, 12373, 7769, 9508, 4854, 12978, 15020, 16052, 6855, 2175,
+            12307, 7950, 5626,
+        ];
+        const WRITES: [bool; 16] = [
+            true, false, false, true, false, true, false, true, true, false, false, false, false,
+            false, false, true,
+        ];
+        let mut w = PhasedWorkload::new(65_536, vec![0.15, 0.65, 0.35, 0.85], 250_000, 0.5, 4242);
+        for (i, want) in VPNS.into_iter().zip(WRITES).enumerate() {
+            let r = w.next_access().unwrap();
+            assert_eq!((r.vpn.0, r.write), want, "request {i}");
+        }
     }
 }

@@ -230,4 +230,25 @@ mod tests {
         assert!(w.in_hot_center(tiered_mem::Vpn(500), 0.25));
         assert!(!w.in_hot_center(tiered_mem::Vpn(10), 0.25));
     }
+
+    #[test]
+    fn gaussian_stream_is_pinned_for_the_fleet_shape() {
+        // The fleet tenant's draws are part of the golden contract: every
+        // fleet digest replays them. First 16 requests after the init pass
+        // of a 48-page tenant (24 slots, σ 3), recorded before the draws
+        // moved to `DetRng::normal_index`, as page and write flag.
+        const VPNS: [u32; 16] = [
+            18, 24, 28, 30, 20, 24, 14, 28, 26, 22, 20, 22, 28, 28, 8, 36,
+        ];
+        const WRITES: [bool; 16] = [
+            true, true, true, false, false, false, false, false, false, false, true, false, false,
+            false, true, false,
+        ];
+        let mut w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(48, 0.7, 0xF1EE_7001));
+        drain_init(&mut w, 48);
+        for (i, want) in VPNS.into_iter().zip(WRITES).enumerate() {
+            let r = w.next_access().unwrap();
+            assert_eq!((r.vpn.0, r.write), want, "request {i}");
+        }
+    }
 }
