@@ -30,6 +30,22 @@ cargo test -q --release -p sim-clock -- --ignored
 echo "== cargo test -q --release --offline --manifest-path tierbench/Cargo.toml"
 cargo test -q --release --offline --manifest-path tierbench/Cargo.toml
 
+# The benchmark's deterministic metrics (simulated throughput, FMAR,
+# simulated p99 and slot-share equality) at the default and hold-out seed of
+# every workload. A change that moves one fails here until it re-records
+# tests/tierbench_holdout.txt with the same three commands.
+echo "== tierbench --holdout (deterministic metrics vs tests/tierbench_holdout.txt)"
+holdout_out=$(mktemp)
+for w in steady-2tier churn-3tier fleet-2tier; do
+  cargo run -q --release --offline --manifest-path tierbench/Cargo.toml -- \
+    --workload "$w" --holdout >> "$holdout_out"
+done
+if ! diff -u tests/tierbench_holdout.txt "$holdout_out"; then
+  echo "holdout check FAILED: a deterministic benchmark metric moved"
+  exit 1
+fi
+rm -f "$holdout_out"
+
 echo "== cargo fmt --check"
 cargo fmt --check
 

@@ -12,8 +12,10 @@
 
 use sim_clock::Nanos;
 
+/// Sub-buckets per power of two, as a shift.
+const SUBBUCKET_BITS: u32 = 6;
 /// Sub-buckets per power of two.
-const SUBBUCKETS: usize = 64;
+const SUBBUCKETS: usize = 1 << SUBBUCKET_BITS;
 /// Number of powers of two covered (2^0 .. 2^40 ns ≈ 18 minutes).
 const POWERS: usize = 40;
 
@@ -46,14 +48,18 @@ impl LatencyHistogram {
         }
     }
 
+    #[inline]
     fn bucket_of(ns: u64) -> usize {
         let ns = ns.max(1);
         let pow = 63 - ns.leading_zeros() as usize; // floor(log2)
-        let pow = pow.min(POWERS - 1);
-        let base = 1u64 << pow;
-        // Position within the power-of-two range, scaled to SUBBUCKETS.
-        let frac = ((ns - base) as u128 * SUBBUCKETS as u128 / base as u128) as usize;
-        pow * SUBBUCKETS + frac.min(SUBBUCKETS - 1)
+        if pow >= POWERS {
+            // Everything from 2^POWERS ns up shares the last bucket.
+            return SUBBUCKETS * POWERS - 1;
+        }
+        // Position within [2^pow, 2^(pow+1)), scaled to SUBBUCKETS. The
+        // offset is below 2^39, so the shifted value fits u64 exactly.
+        let frac = (((ns - (1u64 << pow)) << SUBBUCKET_BITS) >> pow) as usize;
+        pow * SUBBUCKETS + frac
     }
 
     fn bucket_lower_bound(idx: usize) -> u64 {
@@ -64,32 +70,29 @@ impl LatencyHistogram {
     }
 
     /// Records one latency sample.
+    #[inline]
     pub fn record(&mut self, latency: Nanos) {
-        self.record_in_bucket(latency, Self::bucket_of(latency.as_nanos()));
-    }
-
-    /// The bucket a latency lands in. Callers recording one sample into
-    /// several histograms (e.g. all-accesses plus a read/write split) can
-    /// compute this once and feed it to
-    /// [`LatencyHistogram::record_in_bucket`].
-    #[inline]
-    pub fn bucket_index(latency: Nanos) -> usize {
-        Self::bucket_of(latency.as_nanos())
-    }
-
-    /// Records a sample whose bucket was precomputed by
-    /// [`LatencyHistogram::bucket_index`] for the same latency.
-    #[inline]
-    pub fn record_in_bucket(&mut self, latency: Nanos, bucket: usize) {
         let ns = latency.as_nanos();
+        let bucket = Self::bucket_of(ns);
         match self.buckets.get_mut(bucket) {
             Some(c) => *c += 1,
             None => self.grow_and_count(bucket),
         }
         self.count += 1;
         self.sum += ns as u128;
-        self.max = self.max.max(ns);
-        self.min = self.min.min(ns);
+        if ns > self.max {
+            self.max = ns;
+        }
+        if ns < self.min {
+            self.min = ns;
+        }
+    }
+
+    /// The bucket a latency lands in, for callers that interpolate within
+    /// a bucket from its bounds.
+    #[inline]
+    pub fn bucket_index(latency: Nanos) -> usize {
+        Self::bucket_of(latency.as_nanos())
     }
 
     /// Extends storage through `bucket`'s power of two and counts one
@@ -159,6 +162,9 @@ impl LatencyHistogram {
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         if self.buckets.len() < other.buckets.len() {
+            // Exact, so storage ends where recording both streams would.
+            self.buckets
+                .reserve_exact(other.buckets.len() - self.buckets.len());
             self.buckets.resize(other.buckets.len(), 0);
         }
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
@@ -241,6 +247,23 @@ mod tests {
         assert!((cdf[4] - 1.0).abs() < 1e-12);
     }
 
+    /// Asserts two histograms read the same through every accessor, and
+    /// hold the same storage.
+    fn assert_same(a: &LatencyHistogram, b: &LatencyHistogram) {
+        assert_eq!(a.count(), b.count());
+        assert_eq!(a.mean(), b.mean());
+        assert_eq!(a.max(), b.max());
+        for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(a.quantile(q), b.quantile(q), "quantile {q}");
+        }
+        let pts: Vec<Nanos> = [1u64, 64, 100, 300, 1_000, 2_000, 80_000]
+            .map(Nanos)
+            .to_vec();
+        assert_eq!(a.cdf_at(&pts), b.cdf_at(&pts));
+        assert_eq!(a.buckets.len(), b.buckets.len());
+        assert_eq!(a.buckets.capacity(), b.buckets.capacity());
+    }
+
     #[test]
     fn merge_combines_counts() {
         let mut a = LatencyHistogram::new();
@@ -251,6 +274,31 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), Nanos(200));
         assert_eq!(a.max(), Nanos(300));
+
+        // Merging reads into writes (or back) equals one histogram fed both
+        // streams, whichever side is longer, and when one side is empty.
+        let reads: &[u64] = &[95, 100, 264, 264, 1_760, 70_000];
+        let writes: &[u64] = &[0, 105, 464, 1_952, 1_965];
+        for (left, right) in [
+            (reads, writes),
+            (writes, reads),
+            (reads, &[]),
+            (&[], writes),
+        ] {
+            let mut merged = LatencyHistogram::new();
+            let mut other = LatencyHistogram::new();
+            let mut direct = LatencyHistogram::new();
+            for &ns in left {
+                merged.record(Nanos(ns));
+                direct.record(Nanos(ns));
+            }
+            for &ns in right {
+                other.record(Nanos(ns));
+                direct.record(Nanos(ns));
+            }
+            merged.merge(&other);
+            assert_same(&merged, &direct);
+        }
     }
 
     #[test]
@@ -293,7 +341,31 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_bucket_is_rejected() {
-        LatencyHistogram::new().record_in_bucket(Nanos(1), SUBBUCKETS * POWERS);
+        LatencyHistogram::new().grow_and_count(SUBBUCKETS * POWERS);
+    }
+
+    /// The u128 bucket formula the u64 one replaced, kept as the reference.
+    fn reference_bucket(ns: u64) -> usize {
+        let ns = ns.max(1);
+        let pow = (63 - ns.leading_zeros() as usize).min(POWERS - 1);
+        let base = 1u64 << pow;
+        let frac = ((ns - base) as u128 * SUBBUCKETS as u128 / base as u128) as usize;
+        pow * SUBBUCKETS + frac.min(SUBBUCKETS - 1)
+    }
+
+    #[test]
+    fn bucket_index_matches_the_reference_formula() {
+        let edges = (0..64).flat_map(|k| {
+            let p = 1u64 << k;
+            [p - 1, p, p + 1]
+        });
+        for ns in (0..1u64 << 16).chain(edges).chain([u64::MAX]) {
+            assert_eq!(
+                LatencyHistogram::bucket_index(Nanos(ns)),
+                reference_bucket(ns),
+                "{ns} ns"
+            );
+        }
     }
 
     #[test]

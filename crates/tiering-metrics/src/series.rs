@@ -54,32 +54,6 @@ impl TimeSeries {
         self.samples.last().map(|&(_, v)| v)
     }
 
-    /// Mean of the values in the closed time window `[from, to]`.
-    pub fn window_mean(&self, from: Nanos, to: Nanos) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|(t, _)| *t >= from && *t <= to)
-            .map(|&(_, v)| v)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    }
-
-    /// Mean of the final `frac` (0–1] of samples — "steady-state" values like
-    /// the converged CIT threshold in Fig 10b.
-    pub fn tail_mean(&self, frac: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let skip = (self.samples.len() as f64 * (1.0 - frac)) as usize;
-        let tail = &self.samples[skip.min(self.samples.len() - 1)..];
-        Some(tail.iter().map(|&(_, v)| v).sum::<f64>() / tail.len() as f64)
-    }
-
     /// Downsamples to at most `n` evenly spaced points (for compact printing).
     pub fn downsample(&self, n: usize) -> Vec<(Nanos, f64)> {
         if self.samples.len() <= n || n == 0 {
@@ -104,33 +78,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.last(), Some(500.0));
         assert_eq!(s.name(), "threshold");
-    }
-
-    #[test]
-    fn window_mean_filters_by_time() {
-        let mut s = TimeSeries::new("x");
-        for i in 0..10u64 {
-            s.push(Nanos(i * 10), i as f64);
-        }
-        // Samples at t=30,40,50 → values 3,4,5.
-        assert_eq!(s.window_mean(Nanos(30), Nanos(50)), Some(4.0));
-        assert_eq!(s.window_mean(Nanos(1000), Nanos(2000)), None);
-    }
-
-    #[test]
-    fn tail_mean_takes_the_suffix() {
-        let mut s = TimeSeries::new("x");
-        for v in [100.0, 100.0, 100.0, 10.0, 10.0, 10.0, 10.0, 10.0] {
-            s.push(Nanos(s.len() as u64), v);
-        }
-        // Last 50 % = four 10.0 samples.
-        assert_eq!(s.tail_mean(0.5), Some(10.0));
-    }
-
-    #[test]
-    fn tail_mean_of_empty_is_none() {
-        let s = TimeSeries::new("x");
-        assert_eq!(s.tail_mean(0.5), None);
     }
 
     #[test]

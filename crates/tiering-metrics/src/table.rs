@@ -32,12 +32,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of displayable values.
-    pub fn row_fmt<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Table {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn rows(&self) -> usize {
         self.rows.len()
@@ -72,12 +66,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Formats a float with 3 significant decimals — the precision the paper's
-/// figures can actually be read at.
-pub fn f3(x: f64) -> String {
-    format!("{:.3}", x)
 }
 
 /// Formats a ratio as a percentage.
@@ -122,15 +110,7 @@ mod tests {
 
     #[test]
     fn formatters() {
-        assert_eq!(f3(1.23456), "1.235");
         assert_eq!(pct(0.4567), "45.7%");
         assert_eq!(speedup(2.491), "2.49x");
-    }
-
-    #[test]
-    fn row_fmt_displays_values() {
-        let mut t = Table::new("t", &["a", "b"]);
-        t.row_fmt(&[1.5, 2.5]);
-        assert!(t.render().contains("1.5"));
     }
 }

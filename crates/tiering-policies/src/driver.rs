@@ -54,7 +54,8 @@ pub struct RunResult {
     pub accesses: u64,
     /// Simulated makespan (max process virtual time).
     pub makespan: Nanos,
-    /// Access latency distribution (all accesses).
+    /// Access latency distribution (all accesses): the exact merge of the
+    /// load and store histograms.
     pub latency: LatencyHistogram,
     /// Load latency distribution.
     pub latency_reads: LatencyHistogram,
@@ -124,7 +125,6 @@ impl SlowPageSet {
 /// to the classic driver, and N-thread runs byte-identical to 1-thread runs.
 pub struct DriverSession {
     cfg: DriverConfig,
-    latency: LatencyHistogram,
     latency_reads: LatencyHistogram,
     latency_writes: LatencyHistogram,
     accesses: u64,
@@ -141,7 +141,6 @@ impl DriverSession {
         let next_sample = cfg.sample_interval.unwrap_or(Nanos::MAX);
         DriverSession {
             cfg,
-            latency: LatencyHistogram::new(),
             latency_reads: LatencyHistogram::new(),
             latency_writes: LatencyHistogram::new(),
             accesses: 0,
@@ -272,14 +271,12 @@ impl DriverSession {
 
             let res = sys.access(pid, req.vpn, req.write);
             self.accesses += 1;
-            // One sample lands in two histograms (all accesses + the
-            // read/write split); compute the log-scale bucket once.
-            let bucket = LatencyHistogram::bucket_index(res.latency);
-            self.latency.record_in_bucket(res.latency, bucket);
+            // One record per access; `finish` merges the split into the
+            // all-accesses histogram, which is exact.
             if req.write {
-                self.latency_writes.record_in_bucket(res.latency, bucket);
+                self.latency_writes.record(res.latency);
             } else {
-                self.latency_reads.record_in_bucket(res.latency, bucket);
+                self.latency_reads.record(res.latency);
             }
             observer(pid, req.vpn, req.write, res.tier);
             // Any non-top tier counts as "slow" for the FMAR-style tally, so
@@ -305,10 +302,12 @@ impl DriverSession {
         }
 
         let workloads_finished = sys.pids().all(|p| !sys.process(p).running);
+        let mut latency = self.latency_reads.clone();
+        latency.merge(&self.latency_writes);
         RunResult {
             accesses: self.accesses,
             makespan: sys.makespan(),
-            latency: self.latency,
+            latency,
             latency_reads: self.latency_reads,
             latency_writes: self.latency_writes,
             fast_fraction_series: self.series,
@@ -384,6 +383,7 @@ impl SimulationDriver {
 mod tests {
     use super::*;
     use crate::policy::NullPolicy;
+    use crate::tpp::{Tpp, TppConfig};
     use tiered_mem::{PageSize, SystemConfig};
     use workloads::{PmbenchConfig, PmbenchWorkload};
 
@@ -471,6 +471,64 @@ mod tests {
         });
         let r = driver.run(&mut sys, &mut wls, &mut policy);
         assert!(r.accessed_slow_pages > 100);
+    }
+
+    /// One histogram as the pinning test reads it: count, mean and max in
+    /// ns, the quantiles at `PIN_QUANTILES` and the CDF at `PIN_CDF_AT`.
+    type Pinned = (u64, u64, u64, [u64; 6], [f64; 12]);
+    const PIN_QUANTILES: [f64; 6] = [0.0, 0.5, 0.9, 0.99, 0.999, 1.0];
+    const PIN_CDF_AT: [u64; 12] = [64, 96, 100, 128, 256, 300, 464, 500, 1024, 1800, 1960, 2048];
+
+    fn pinned(h: &LatencyHistogram) -> Pinned {
+        let cdf = h.cdf_at(&PIN_CDF_AT.map(Nanos));
+        (
+            h.count(),
+            h.mean().as_nanos(),
+            h.max().as_nanos(),
+            PIN_QUANTILES.map(|q| h.quantile(q).as_nanos()),
+            cdf.try_into().expect("one value per point"),
+        )
+    }
+
+    #[test]
+    fn returned_histograms_are_pinned() {
+        // TPP on a tight fast tier: fast and slow hits, hint faults and
+        // promotions spread reads and writes over several latency levels.
+        // The constants were recorded from a driver that fed every access
+        // into `latency` directly, so they also hold the merge exact.
+        let mut sys = TieredSystem::new(SystemConfig::dram_pmem(256, 4096));
+        let w = PmbenchWorkload::new(PmbenchConfig::paper_skewed(2048, 0.7, 11));
+        sys.add_process(w.address_space_pages(), PageSize::Base);
+        let mut wls: Vec<Box<dyn Workload>> = vec![Box::new(w)];
+        let mut policy = Tpp::for_tiers(
+            TppConfig {
+                scan_period: Nanos::from_millis(10),
+                scan_step_pages: 512,
+                demote_interval: Nanos::from_millis(5),
+            },
+            2,
+        );
+        let r = SimulationDriver::new(DriverConfig {
+            run_for: Nanos::from_millis(40),
+            ..Default::default()
+        })
+        .run(&mut sys, &mut wls, &mut policy);
+        assert_eq!(sys.stats.promoted_pages, 1433);
+
+        #[rustfmt::skip]
+        let expect: [Pinned; 3] = [
+            (95692, 321, 1965, [95, 264, 464, 1760, 1952, 1952], [0.0, 0.21910922543159303, 0.21910922543159303, 0.3110813861137817, 0.3110813861137817, 0.7604083935961209, 0.9519709066588639, 0.9519709066588639, 0.9519709066588639, 0.9920474020816787, 1.0, 1.0]),
+            (65751, 251, 1765, [95, 264, 264, 1760, 1760, 1760], [0.0, 0.31888488388009306, 0.31888488388009306, 0.31888488388009306, 0.31888488388009306, 0.972821706133747, 0.972821706133747, 0.972821706133747, 0.972821706133747, 1.0, 1.0, 1.0]),
+            (29941, 476, 1965, [105, 464, 464, 1952, 1952, 1952], [0.0, 0.0, 0.0, 0.2939447580241141, 0.2939447580241141, 0.2939447580241141, 0.9061821582445476, 0.9061821582445476, 0.9061821582445476, 0.9745833472495908, 1.0, 1.0]),
+        ];
+        let got = [&r.latency, &r.latency_reads, &r.latency_writes].map(pinned);
+        for ((name, got), expect) in ["latency", "latency_reads", "latency_writes"]
+            .into_iter()
+            .zip(got)
+            .zip(expect)
+        {
+            assert_eq!(got, expect, "{name}");
+        }
     }
 
     #[test]
