@@ -47,7 +47,7 @@ use tiered_mem::{
 };
 use tiering_policies::DriverConfig;
 use tiering_verify::InvariantOracle;
-use workloads::{AccessReq, PmbenchConfig, PmbenchWorkload, Workload};
+use workloads::{PmbenchConfig, PmbenchWorkload, Trace, Workload};
 
 use crate::runner::{run_policy, PolicyKind, Scale, Topology};
 use crate::take_bool_flag;
@@ -110,62 +110,13 @@ pub fn bench_path(suite: &str) -> PathBuf {
 
 // ----- end-to-end suite (fig10 shapes) ------------------------------------
 
-/// Replays a pre-materialised access stream. The pmbench generators are
-/// open-loop — nothing in the request stream depends on the system's
-/// responses, and `paper_skewed` think time is always zero — so replay is
-/// bit-exact with live generation while keeping the Gaussian sampling cost
-/// (which dominates generation) out of the timed region.
-struct ReplayWorkload {
-    /// Packed requests: `vpn | (write as u32) << 31`.
-    trace: Vec<u32>,
-    pos: usize,
-    pages: u32,
-    label: String,
-}
-
-impl Workload for ReplayWorkload {
-    fn next_access(&mut self) -> Option<AccessReq> {
-        let w = *self.trace.get(self.pos)?;
-        self.pos += 1;
-        Some(AccessReq {
-            vpn: Vpn(w & 0x7FFF_FFFF),
-            write: w >> 31 != 0,
-            think: Nanos::ZERO,
-        })
-    }
-
-    fn address_space_pages(&self) -> u32 {
-        self.pages
-    }
-
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-}
-
-/// Records `len` requests of a pmbench configuration into a replay trace.
-fn record_trace(cfg: PmbenchConfig, len: u64) -> ReplayWorkload {
-    let mut w = PmbenchWorkload::new(cfg);
-    let pages = w.address_space_pages();
-    let label = w.label();
-    let mut trace = Vec::with_capacity(len as usize);
-    for _ in 0..len {
-        let r = w.next_access().expect("pmbench streams are unbounded");
-        debug_assert_eq!(r.think, Nanos::ZERO, "replay drops think times");
-        trace.push(r.vpn.0 | (r.write as u32) << 31);
-    }
-    ReplayWorkload {
-        trace,
-        pos: 0,
-        pages,
-        label,
-    }
-}
-
 /// Runs one Fig 10-shaped workload under a policy for a fixed number of
-/// accesses and measures host time. Traces are generated before the timer
-/// starts; each process's trace is sized 1.5× its fair share so the
-/// driver's access cap, not trace exhaustion, ends the run.
+/// accesses and measures host time. Each process's stream is recorded into
+/// a [`Trace`] before the timer starts — the pmbench generators are
+/// open-loop, so replay is bit-exact with live generation while the
+/// Gaussian sampling that dominates generation stays out of the timed
+/// region. Each trace is sized 1.5× its fair share so the driver's access
+/// cap, not trace exhaustion, ends the run.
 fn e2e_run(
     kind: PolicyKind,
     topology: Topology,
@@ -193,10 +144,10 @@ fn e2e_run(
             let seed = if procs == 1 { 1010 } else { 1100 + i as u64 };
             let read_ratio = if procs == 1 { 0.95 } else { 0.7 };
             let per_proc = (accesses / procs as u64) * 3 / 2;
-            Box::new(record_trace(
-                PmbenchConfig::paper_skewed(pages, read_ratio, seed),
-                per_proc,
-            )) as Box<dyn Workload>
+            let mut live =
+                PmbenchWorkload::new(PmbenchConfig::paper_skewed(pages, read_ratio, seed));
+            Box::new(Trace::record(&mut live, per_proc as usize).into_workload())
+                as Box<dyn Workload>
         })
         .collect();
     // lint:allow(wall-clock) host-side throughput is the measured quantity
@@ -909,25 +860,6 @@ mod tests {
         ] {
             assert!(r.ops > 0, "{} did nothing", r.name);
         }
-    }
-
-    #[test]
-    fn replay_matches_live_generation() {
-        // The trace-driven e2e mode is only honest if replay is bit-exact
-        // with live generation: same vpn, same write bit, zero think.
-        let cfg = || PmbenchConfig::paper_skewed(512, 0.7, 77);
-        let mut live = PmbenchWorkload::new(cfg());
-        let mut replay = record_trace(cfg(), 10_000);
-        for i in 0..10_000 {
-            let a = live.next_access().unwrap();
-            let b = replay.next_access().unwrap();
-            assert_eq!(
-                (a.vpn, a.write, a.think),
-                (b.vpn, b.write, b.think),
-                "at {i}"
-            );
-        }
-        assert!(replay.next_access().is_none(), "trace length respected");
     }
 
     #[test]

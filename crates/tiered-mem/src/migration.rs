@@ -341,6 +341,27 @@ impl MigrationEngine {
         }
         None
     }
+
+    /// [`Self::remove`] for the transaction `id` that [`Self::begin_lane`]
+    /// just admitted (open-and-retire in one step). A new transaction is the
+    /// back of its channel, so this looks at channel backs only instead of
+    /// scanning every in-flight copy.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is not the newest transaction still in flight.
+    pub fn remove_newest(&mut self, id: MigrationTxnId) -> MigrationTxn {
+        assert_eq!(id + 1, self.next_id, "transaction {id} is not the newest");
+        let txn = self
+            .channels
+            .iter_mut()
+            .find(|c| c.back().is_some_and(|t| t.id == id))
+            .and_then(VecDeque::pop_back)
+            .unwrap_or_else(|| panic!("transaction {id} is no longer in flight"));
+        self.reserved[txn.to.index()] -= txn.unit;
+        self.refresh_earliest_front();
+        txn
+    }
 }
 
 #[cfg(test)]
@@ -543,6 +564,32 @@ mod tests {
             Nanos(300)
         );
         assert!(e.remove(id).is_none());
+    }
+
+    #[test]
+    fn remove_newest_takes_the_back_and_leaves_the_rest() {
+        let mut e = eng(8, 100);
+        let ups: Vec<_> = (0..3)
+            .map(|v| begin_one(&mut e, v, TierId::FAST, Nanos(50)))
+            .collect();
+        let front = e.earliest_front;
+        let down = begin_one(&mut e, 9, TierId::SLOW, Nanos(10));
+        assert_eq!(e.earliest_front, Nanos(10));
+        let txn = e.remove_newest(down);
+        assert_eq!((txn.id, txn.head), (down, Vpn(9)));
+        assert_eq!(e.iter().map(|t| t.id).collect::<Vec<_>>(), ups);
+        assert_eq!(e.earliest_front, front);
+        assert_eq!(e.reserved_frames(TierId::SLOW), 0);
+        assert_eq!(e.reserved_frames(TierId::FAST), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not the newest")]
+    fn remove_newest_refuses_an_older_transaction() {
+        let mut e = eng(8, 100);
+        let old = begin_one(&mut e, 1, TierId::FAST, Nanos(50));
+        begin_one(&mut e, 2, TierId::FAST, Nanos(50));
+        e.remove_newest(old);
     }
 
     #[test]

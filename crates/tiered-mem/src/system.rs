@@ -1675,7 +1675,7 @@ impl TieredSystem {
                     // so the tier still empties.
                     match self.begin_migrate_txn(owner.pid, head, dest, MigrateMode::Async, true) {
                         Ok((id, _)) => {
-                            let txn = self.engine.remove(id).expect("just begun");
+                            let txn = self.engine.remove_newest(id);
                             match self.roll_txn_fault() {
                                 CopyFault::None => self.complete_txn(txn),
                                 fault => {
@@ -1960,7 +1960,7 @@ impl TieredSystem {
         mode: MigrateMode,
     ) -> Result<u32, MigrateError> {
         let (id, unit) = self.begin_migrate_txn(pid, vpn, to, mode, false)?;
-        let txn = self.engine.remove(id).expect("transaction just begun");
+        let txn = self.engine.remove_newest(id);
         match self.roll_txn_fault() {
             CopyFault::None => {
                 self.complete_txn(txn);
@@ -2841,6 +2841,37 @@ mod tests {
                 + sys.stats.aborted_migrations
                 + sys.migration_in_flight_count() as u64
         );
+    }
+
+    #[test]
+    fn compat_migrate_leaves_in_flight_promotions_untouched() {
+        let mut sys = small_sys();
+        let pid = sys.add_process(128, PageSize::Base);
+        for i in 0..128 {
+            sys.access(pid, Vpn(i), false);
+        }
+        for v in 100..103 {
+            sys.begin_migrate(pid, Vpn(v), TierId::FAST, MigrateMode::Async)
+                .unwrap();
+        }
+        let in_flight = |sys: &TieredSystem| {
+            sys.in_flight_migrations()
+                .map(|t| (t.id, t.head, t.complete_at))
+                .collect::<Vec<_>>()
+        };
+        let before = in_flight(&sys);
+        let front = before[0].2;
+        // A demotion on the idle down channel, then a promotion queued behind
+        // the in-flight ones on the up channel: each is opened and retired in
+        // the same call.
+        for (vpn, to) in [(Vpn(0), TierId::SLOW), (Vpn(103), TierId::FAST)] {
+            sys.migrate(pid, vpn, to, MigrateMode::Async).unwrap();
+            assert_eq!(sys.process(pid).space.entry(vpn).tier(), to);
+            assert_eq!(in_flight(&sys), before);
+            assert!(!sys.engine.any_due(Nanos(front.as_nanos() - 1)));
+            assert!(sys.engine.any_due(front));
+        }
+        assert_eq!(sys.migration_reserved_frames(TierId::FAST), 3);
     }
 
     /// Every `MigrateError` variant, in `index()` order. The exhaustive
