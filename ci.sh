@@ -98,6 +98,16 @@ echo "== harness fuzz tier-chaos (offline/evacuate/rejoin arcs under canonical3/
 echo "== tier_failover example (failure-domain arc end to end, throughput bar asserted)"
 cargo run --release --example tier_failover
 
+# The other examples that assert: quarantine and copy-fault counts equal on
+# replay, the write-abort and backpressure paths, tuning and graph runs, and
+# per-edge traffic on the three-tier chain.
+for ex in fault_chaos migration_inflight adaptive_tuning graph_analytics; do
+  echo "== $ex example (asserts)"
+  cargo run --release --example "$ex"
+done
+echo "== harness three_tier example (every tier and both chain edges active)"
+cargo run --release -p harness --example three_tier
+
 echo "== harness run thread-invariance (same seed, 1 vs 4 worker threads)"
 d1=$(./target/release/harness run --tenants 200 --millis 5 --threads 1 | awk '/digest:/{print $2}')
 d4=$(./target/release/harness run --tenants 200 --millis 5 --threads 4 | awk '/digest:/{print $2}')

@@ -59,22 +59,10 @@ pub struct ChronoConfig {
     pub demote_interval: Nanos,
     /// Thrashing ratio above which the rate limit is halved (Section 3.3.2).
     pub thrash_threshold: f64,
-    /// Exponential decay applied to heat maps per DCSC aggregation.
-    pub heatmap_decay: f64,
     /// RNG seed (victim selection).
     pub seed: u64,
-    /// Retries allowed per transiently failed promotion before giving up.
-    pub retry_max_attempts: u32,
     /// First-retry backoff; doubles per attempt (bounded exponential).
     pub retry_backoff_base: Nanos,
-    /// Pending-retry pool bound; overflow is abandoned, not queued.
-    pub retry_pool_cap: usize,
-    /// Migration-failure ratio above which the promotion circuit breaker
-    /// opens for a period.
-    pub breaker_threshold: f64,
-    /// Minimum attempts in a period before the breaker may trip (small
-    /// samples produce meaningless ratios).
-    pub breaker_min_attempts: u64,
     /// Consecutive starved DCSC rounds (after the first successful tune,
     /// with fault damage present) before degrading to semi-auto tuning.
     pub dcsc_starved_rounds: u32,
@@ -97,13 +85,8 @@ impl Default for ChronoConfig {
             migrate_interval: Nanos::from_millis(100),
             demote_interval: Nanos::from_millis(500),
             thrash_threshold: 0.2,
-            heatmap_decay: 0.98,
             seed: 0xC1207,
-            retry_max_attempts: 3,
             retry_backoff_base: Nanos::from_millis(100),
-            retry_pool_cap: 1 << 12,
-            breaker_threshold: 0.5,
-            breaker_min_attempts: 16,
             dcsc_starved_rounds: 8,
         }
     }

@@ -46,6 +46,18 @@ pub(crate) const EV_DCSC: u16 = 5;
 
 /// Promotion-queue capacity bound (entries).
 const QUEUE_CAP: usize = 1 << 18;
+/// Retries allowed per transiently failed promotion before giving up.
+const RETRY_MAX_ATTEMPTS: u32 = 3;
+/// Pending-retry pool bound; overflow is abandoned, not queued.
+const RETRY_POOL_CAP: usize = 1 << 12;
+/// Migration-failure ratio above which the promotion circuit breaker opens
+/// for a period.
+const BREAKER_THRESHOLD: f64 = 0.5;
+/// Minimum attempts in a period before the breaker may trip (small samples
+/// produce meaningless ratios).
+const BREAKER_MIN_ATTEMPTS: u64 = 16;
+/// Exponential decay applied to heat maps per DCSC aggregation.
+const HEATMAP_DECAY: f64 = 0.98;
 /// Probes older than this many scan periods are expired as cold: a page
 /// idle across multiple full passes is cold at any threshold the tuner can
 /// pick, and binning it at its idle age keeps the cold mass in the maps.
@@ -232,8 +244,8 @@ impl ChronoPolicy {
             queue: PromotionQueue::new(rate, QUEUE_CAP),
             heat: [HeatMap::new(cfg.buckets), HeatMap::new(cfg.buckets)],
             cit_threshold: threshold,
-            retry: RetryPool::new(cfg.retry_max_attempts, cfg.retry_pool_cap),
-            breaker: MigrationBreaker::new(cfg.breaker_threshold, cfg.breaker_min_attempts),
+            retry: RetryPool::new(RETRY_MAX_ATTEMPTS, RETRY_POOL_CAP),
+            breaker: MigrationBreaker::new(BREAKER_THRESHOLD, BREAKER_MIN_ATTEMPTS),
             upper,
             lower,
             tag,
@@ -519,14 +531,6 @@ impl ChronoPolicy {
         }
     }
 
-    fn unit_pages(sys: &TieredSystem, pid: ProcessId, pte: Vpn) -> u32 {
-        if sys.process(pid).space.is_huge_mapped(pte) {
-            HUGE_2M_PAGES
-        } else {
-            1
-        }
-    }
-
     // ----- Ticking-scan ----------------------------------------------------
 
     fn ticking_scan(&mut self, sys: &mut TieredSystem, pid: ProcessId) {
@@ -608,7 +612,7 @@ impl ChronoPolicy {
         let was_demoted = e.flags.has(PageFlags::DEMOTED);
         let queued = e.flags.has(PageFlags::CANDIDATE);
         let threshold = self.effective_threshold(sys, pid, pte);
-        let unit = Self::unit_pages(sys, pid, pte);
+        let unit = sys.process(pid).space.unit_pages(pte);
         let now = sys.clock.now();
         sys.trace.emit(now, || TraceEvent::HintFault {
             pid: pid.0,
@@ -1006,7 +1010,7 @@ impl ChronoPolicy {
         let now = sys.clock.now();
         self.expire_stale_probes(sys, now, cleared);
         for m in &mut self.heat {
-            m.decay(self.cfg.heatmap_decay);
+            m.decay(HEATMAP_DECAY);
         }
         self.issue_probes(sys, now);
         if self.cfg.tuning == TuningMode::Dcsc {
@@ -1726,7 +1730,10 @@ mod tests {
         plan.copy_poison = 0.0001;
         plan.capacity_events = vec![tiered_mem::CapacityEvent {
             at: Nanos::from_millis(200),
-            kind: tiered_mem::CapacityKind::ShrinkFastFraction(0.25),
+            kind: tiered_mem::CapacityKind::ShrinkTierFraction {
+                tier: TierId::FAST,
+                fraction: 0.25,
+            },
         }];
         let (sys, policy) = run_chrono_faulty(plan, 400);
         let faulty = sys.stats.fmar();

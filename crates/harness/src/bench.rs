@@ -50,8 +50,8 @@ use tiering_verify::InvariantOracle;
 use workloads::{PmbenchConfig, PmbenchWorkload, Trace, Workload};
 
 use crate::runner::{run_policy, PolicyKind, Scale, Topology};
-use crate::take_bool_flag;
 use crate::tenants::{run_fleet, FleetConfig};
+use crate::{take_bool_flag, take_flag};
 
 /// Schema tag written into (and required from) every bench JSON file.
 pub const SCHEMA: &str = "chrono-bench/v1";
@@ -659,6 +659,8 @@ fn plural(unit: &str) -> String {
     }
 }
 
+const USAGE: &str = "usage: harness bench [--quick] [--check] [--suite fig10|substrate]";
+
 /// `harness bench [--quick] [--check] [--suite fig10|substrate]`.
 ///
 /// Default: run both suites and (re)write `BENCH_fig10.json` and
@@ -668,18 +670,18 @@ fn plural(unit: &str) -> String {
 pub fn run_bench(mut args: Vec<String>) -> i32 {
     let quick = take_bool_flag(&mut args, "--quick");
     let check = take_bool_flag(&mut args, "--check");
-    let suite_filter = args
-        .iter()
-        .position(|a| a == "--suite")
-        .map(|pos| {
-            let v = args.get(pos + 1).cloned().unwrap_or_default();
-            args.drain(pos..(pos + 2).min(args.len()));
-            v
-        })
-        .filter(|v| !v.is_empty());
+    let suite = take_flag(&mut args, "--suite", "fig10 or substrate", |v| {
+        Some(v.to_string())
+    });
+    let suite_filter = match suite {
+        Ok(suite) => suite,
+        Err(msg) => {
+            eprintln!("{msg}\n{USAGE}");
+            return 2;
+        }
+    };
     if let Some(bad) = args.first() {
-        eprintln!("unknown bench argument '{bad}'");
-        eprintln!("usage: harness bench [--quick] [--check] [--suite fig10|substrate]");
+        eprintln!("unknown bench argument '{bad}'\n{USAGE}");
         return 2;
     }
     if let Some(s) = &suite_filter {
@@ -692,7 +694,7 @@ pub fn run_bench(mut args: Vec<String>) -> i32 {
         // Writing quick numbers would overwrite the committed full-mode
         // baselines that `--check` compares against.
         eprintln!("--quick only runs with --check (it would overwrite the full-mode BENCH_*.json)");
-        eprintln!("usage: harness bench [--quick] [--check] [--suite fig10|substrate]");
+        eprintln!("{USAGE}");
         return 2;
     }
     let want = |s: &str| suite_filter.as_deref().map(|f| f == s).unwrap_or(true);
@@ -887,6 +889,18 @@ mod tests {
             assert_eq!(run_bench(args), 2);
         }
         assert_eq!(std::fs::read(bench_path("fig10")).ok(), before);
+    }
+
+    #[test]
+    fn suite_without_a_value_is_a_usage_error() {
+        // Refused before any suite runs, so neither BENCH_*.json is touched.
+        let files = || ["fig10", "substrate"].map(|s| std::fs::read(bench_path(s)).ok());
+        let before = files();
+        for args in [&["--suite"][..], &["--check", "--suite"][..]] {
+            let args = args.iter().map(|a| a.to_string()).collect();
+            assert_eq!(run_bench(args), 2);
+        }
+        assert_eq!(files(), before);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use tiering_metrics::Table;
 use tiering_policies::{DriverConfig, RunResult, TieringPolicy};
 use workloads::{Graph500Config, Graph500Workload, GraphKernel, Workload};
 
+use super::normalized_rows;
 use crate::runner::{PolicyKind, Scale, StandardRun, Testbed};
 
 /// (label, CSR pages target, total frames): the paper's 128/192/256 GB
@@ -104,6 +105,11 @@ pub fn exec_time(
     cell(kind, scale, pages, frames, page_size).result.makespan
 }
 
+/// A Fig 11a cell: execution time, then the speedup over the base.
+pub(crate) fn speedup_cell(ms: f64, base: f64) -> String {
+    format!("{:.0} ({:.2}x)", ms, base / ms)
+}
+
 /// Fig 11a: execution time across sizes and page granularities.
 pub fn run_11a(scale: &Scale) -> String {
     let mut out = String::new();
@@ -112,28 +118,10 @@ pub fn run_11a(scale: &Scale) -> String {
             format!("Fig 11a ({granularity} pages): Graph500 execution time (sim ms; speedup vs Linux-NB)"),
             &["Policy", "128GB-equiv", "192GB-equiv", "256GB-equiv"],
         );
-        let mut grid: Vec<Vec<f64>> = Vec::new();
-        for kind in PolicyKind::MAIN {
-            grid.push(
-                SIZES
-                    .iter()
-                    .map(|(_, pages, frames)| {
-                        exec_time(kind, scale, *pages, *frames, page_size).as_secs_f64() * 1e3
-                    })
-                    .collect(),
-            );
-        }
-        let base = grid[0].clone();
-        for (kind, row) in PolicyKind::MAIN.iter().zip(&grid) {
-            let cells: Vec<String> = std::iter::once(kind.name().to_string())
-                .chain(
-                    row.iter()
-                        .zip(&base)
-                        .map(|(v, b)| format!("{:.0} ({:.2}x)", v, b / v)),
-                )
-                .collect();
-            t.row(&cells);
-        }
+        let cell = |kind, (_, pages, frames): &(&str, u32, u32)| {
+            exec_time(kind, scale, *pages, *frames, page_size).as_secs_f64() * 1e3
+        };
+        normalized_rows(&mut t, &PolicyKind::MAIN, &SIZES, cell, speedup_cell);
         out.push_str(&t.render());
         out.push('\n');
     }

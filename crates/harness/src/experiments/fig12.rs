@@ -4,6 +4,7 @@
 use tiering_metrics::Table;
 use workloads::{KvFlavor, KvStoreConfig, KvStoreWorkload, Workload};
 
+use super::{normalized_rows, ratio_cell};
 use crate::runner::{run_policy, PolicyKind, Scale};
 
 const PAGES: u32 = 12_288;
@@ -36,22 +37,8 @@ pub fn run(scale: &Scale) -> String {
             &["Policy", "Set/Get=1:10", "Set/Get=1:1"],
         );
         let ratios = [1.0 / 11.0, 0.5];
-        let mut grid: Vec<Vec<f64>> = Vec::new();
-        for kind in PolicyKind::MAIN {
-            grid.push(
-                ratios
-                    .iter()
-                    .map(|r| run_cell(kind, scale, flavor, *r))
-                    .collect(),
-            );
-        }
-        let base = grid[0].clone();
-        for (kind, row) in PolicyKind::MAIN.iter().zip(&grid) {
-            let cells: Vec<String> = std::iter::once(kind.name().to_string())
-                .chain(row.iter().zip(&base).map(|(v, b)| format!("{:.2}", v / b)))
-                .collect();
-            t.row(&cells);
-        }
+        let cell = |kind, r: &f64| run_cell(kind, scale, flavor, *r);
+        normalized_rows(&mut t, &PolicyKind::MAIN, &ratios, cell, ratio_cell);
         out.push_str(&t.render());
         out.push('\n');
     }

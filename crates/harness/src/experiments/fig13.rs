@@ -4,6 +4,7 @@
 use tiered_mem::PageSize;
 use tiering_metrics::Table;
 
+use super::{normalized_rows, ratio_cell};
 use crate::runner::{pmbench, run_policy, PolicyKind, Scale};
 
 const PROCS: usize = 6;
@@ -36,21 +37,7 @@ pub fn run(scale: &Scale) -> String {
         "Fig 13: design choice analysis (normalized throughput vs Linux-NB)",
         &["Variant", "95:5", "70:30", "30:70", "5:95"],
     );
-    let mut grid: Vec<Vec<f64>> = Vec::new();
-    for kind in PolicyKind::ABLATION {
-        grid.push(
-            ratios
-                .iter()
-                .map(|(_, r)| run_cell(kind, scale, *r))
-                .collect(),
-        );
-    }
-    let base = grid[0].clone(); // Linux-NB
-    for (kind, row) in PolicyKind::ABLATION.iter().zip(&grid) {
-        let cells: Vec<String> = std::iter::once(kind.name().to_string())
-            .chain(row.iter().zip(&base).map(|(v, b)| format!("{:.2}", v / b)))
-            .collect();
-        t.row(&cells);
-    }
+    let cell = |kind, (_, r): &(&str, f64)| run_cell(kind, scale, *r);
+    normalized_rows(&mut t, &PolicyKind::ABLATION, &ratios, cell, ratio_cell);
     t.render()
 }

@@ -8,6 +8,7 @@
 
 use tiering_metrics::Table;
 
+use super::{normalized_rows, ratio_cell};
 use crate::runner::{pmbench, run_policy, PolicyKind, Scale};
 
 /// The scaled configurations: (label, processes, pages/process, total frames).
@@ -46,21 +47,8 @@ pub fn run(scale: &Scale) -> String {
             format!("Fig 6 ({label}): normalized throughput vs Linux-NB"),
             &["Policy", "95:5", "70:30", "30:70", "5:95"],
         );
-        let mut grid: Vec<Vec<f64>> = Vec::new();
-        for kind in PolicyKind::MAIN {
-            let row: Vec<f64> = RATIOS
-                .iter()
-                .map(|(_, r)| run_cell(kind, scale, procs, pages, frames, *r))
-                .collect();
-            grid.push(row);
-        }
-        let base = grid[0].clone(); // Linux-NB row
-        for (kind, row) in PolicyKind::MAIN.iter().zip(&grid) {
-            let cells: Vec<String> = std::iter::once(kind.name().to_string())
-                .chain(row.iter().zip(&base).map(|(v, b)| format!("{:.2}", v / b)))
-                .collect();
-            t.row(&cells);
-        }
+        let cell = |kind, (_, r): &(&str, f64)| run_cell(kind, scale, procs, pages, frames, *r);
+        normalized_rows(&mut t, &PolicyKind::MAIN, &RATIOS, cell, ratio_cell);
         out.push_str(&t.render());
         out.push('\n');
     }

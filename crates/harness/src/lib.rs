@@ -32,3 +32,29 @@ pub(crate) fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
     args.remove(pos);
     true
 }
+
+/// Removes `flag <value>` from `args` and parses the value; `Ok(None)` when
+/// the flag is absent, and an error naming the flag and `want` when the
+/// value is missing or malformed.
+pub fn take_flag<T>(
+    args: &mut Vec<String>,
+    flag: &str,
+    want: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(pos) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args.get(pos + 1).and_then(|v| parse(v));
+    let value = value.ok_or_else(|| format!("{flag} requires {want}"))?;
+    args.drain(pos..=pos + 1);
+    Ok(Some(value))
+}
+
+/// Parses a decimal or `0x`-prefixed hexadecimal `u64`.
+pub fn parse_u64(v: &str) -> Option<u64> {
+    match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    }
+}

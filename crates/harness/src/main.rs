@@ -65,7 +65,9 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use harness::experiments::{run_by_id, EXPERIMENTS};
-use harness::{analysis, bench, sink, tenants, verify, FaultPlanKind, Scale, Topology};
+use harness::{
+    analysis, bench, parse_u64, sink, take_flag, tenants, verify, FaultPlanKind, Scale, Topology,
+};
 
 /// A subcommand's entry point: its own arguments in, the exit code out.
 type Entry = fn(Vec<String>) -> i32;
@@ -98,24 +100,6 @@ struct Cli {
     trace: Option<PathBuf>,
     /// A subcommand and its own flags, or the experiment ids.
     args: Vec<String>,
-}
-
-/// Removes `flag <value>` from `args` and parses the value; `Ok(None)` when
-/// the flag is absent, and an error naming the flag and `want` when the
-/// value is missing or malformed.
-fn take_flag<T>(
-    args: &mut Vec<String>,
-    flag: &str,
-    want: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<Option<T>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    let value = args.get(pos + 1).and_then(|v| parse(v));
-    let value = value.ok_or_else(|| format!("{flag} requires {want}"))?;
-    args.drain(pos..=pos + 1);
-    Ok(Some(value))
 }
 
 /// The flags that shape the experiment [`Scale`].
@@ -154,12 +138,7 @@ fn parse(mut args: Vec<String>) -> Result<Cli, String> {
     }
     let plans = "one of: canonical, storm, inert, canonical3, storm3";
     scale.fault = take_flag(&mut args, "--fault-plan", plans, FaultPlanKind::parse)?;
-    let seed = take_flag(&mut args, "--fault-seed", "an integer", |v| {
-        match v.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16).ok(),
-            None => v.parse().ok(),
-        }
-    })?;
+    let seed = take_flag(&mut args, "--fault-seed", "an integer", parse_u64)?;
     scale.fault_seed = seed.unwrap_or(scale.fault_seed);
 
     let mut sub = subcommand(&args).map(|(name, _)| name);

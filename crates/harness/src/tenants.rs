@@ -15,6 +15,7 @@
 //! same digest, regardless of thread count.
 
 use crate::runner::{PolicyKind, Scale, Topology};
+use crate::{parse_u64, take_flag};
 use sim_clock::{DetRng, Nanos};
 use tiered_mem::{PageSize, PartitionPlan, TierId, TieredSystem};
 use tiering_policies::{
@@ -130,64 +131,14 @@ pub fn run_fleet(cfg: &FleetConfig) -> ShardedRunResult {
 
 /// `harness run --tenants N [--threads T] [--policy NAME] [--millis MS]
 /// [--seed X] [--slots N] [--topology NAME]`. Returns the process exit code.
-pub fn run_tenants(mut args: Vec<String>) -> i32 {
-    let mut cfg = FleetConfig::default();
-    let mut take = |flag: &str| -> Option<String> {
-        let pos = args.iter().position(|a| a == flag)?;
-        let Some(v) = args.get(pos + 1).cloned() else {
-            eprintln!("{flag} requires an argument");
-            std::process::exit(2);
-        };
-        args.drain(pos..=pos + 1);
-        Some(v)
-    };
-    let parse_u64 = |flag: &str, v: String| -> u64 {
-        let parsed = match v.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16).ok(),
-            None => v.parse().ok(),
-        };
-        parsed.unwrap_or_else(|| {
-            eprintln!("{flag} requires an integer argument");
-            std::process::exit(2);
-        })
-    };
-    if let Some(v) = take("--tenants") {
-        cfg.tenants = parse_u64("--tenants", v).max(1) as usize;
-    }
-    if let Some(v) = take("--threads") {
-        cfg.threads = parse_u64("--threads", v).max(1) as usize;
-    }
-    if let Some(v) = take("--millis") {
-        cfg.millis = parse_u64("--millis", v).max(1);
-    }
-    if let Some(v) = take("--seed") {
-        cfg.seed = parse_u64("--seed", v);
-    }
-    if let Some(v) = take("--slots") {
-        cfg.slots = Some(parse_u64("--slots", v).max(1) as usize);
-    }
-    if let Some(v) = take("--policy") {
-        let Some(p) = PolicyKind::FUZZED.into_iter().find(|p| p.id() == v) else {
-            eprintln!(
-                "unknown policy '{v}'; one of: {}",
-                PolicyKind::FUZZED.map(|p| p.id()).join(", ")
-            );
+pub fn run_tenants(args: Vec<String>) -> i32 {
+    let cfg = match parse_fleet(args) {
+        Ok(cfg) => cfg,
+        Err(msg) => {
+            eprintln!("{msg}");
             return 2;
-        };
-        cfg.policy = p;
-    }
-    if let Some(v) = take("--topology") {
-        let Some(t) = Topology::parse(&v) else {
-            eprintln!("unknown topology '{v}'; one of: dram-pmem, dram-cxl, three-tier");
-            return 2;
-        };
-        cfg.topology = t;
-    }
-    if let Some(unknown) = args.first() {
-        eprintln!("run: unknown argument '{unknown}'");
-        return 2;
-    }
-
+        }
+    };
     println!(
         "fleet: {} tenants x {} ms of {} on {} threads (seed {:#x}, {} slots, {})",
         cfg.tenants,
@@ -229,4 +180,45 @@ pub fn run_tenants(mut args: Vec<String>) -> i32 {
     );
     println!("  digest:    {:016x}", result.combined_digest());
     0
+}
+
+/// Parses `harness run`'s flags over the default fleet.
+fn parse_fleet(mut args: Vec<String>) -> Result<FleetConfig, String> {
+    let mut cfg = FleetConfig::default();
+    let mut int = |flag| take_flag(&mut args, flag, "an integer argument", parse_u64);
+    if let Some(n) = int("--tenants")? {
+        cfg.tenants = n.max(1) as usize;
+    }
+    if let Some(n) = int("--threads")? {
+        cfg.threads = n.max(1) as usize;
+    }
+    if let Some(n) = int("--millis")? {
+        cfg.millis = n.max(1);
+    }
+    if let Some(n) = int("--seed")? {
+        cfg.seed = n;
+    }
+    if let Some(n) = int("--slots")? {
+        cfg.slots = Some(n.max(1) as usize);
+    }
+    let name = |v: &str| Some(v.to_string());
+    if let Some(v) = take_flag(&mut args, "--policy", "a policy name", name)? {
+        let ids = PolicyKind::FUZZED.map(|p| p.id());
+        let Some(p) = PolicyKind::FUZZED.into_iter().find(|p| p.id() == v) else {
+            return Err(format!("unknown policy '{v}'; one of: {}", ids.join(", ")));
+        };
+        cfg.policy = p;
+    }
+    if let Some(v) = take_flag(&mut args, "--topology", "a topology name", name)? {
+        let Some(t) = Topology::parse(&v) else {
+            return Err(format!(
+                "unknown topology '{v}'; one of: dram-pmem, dram-cxl, three-tier"
+            ));
+        };
+        cfg.topology = t;
+    }
+    if let Some(unknown) = args.first() {
+        return Err(format!("run: unknown argument '{unknown}'"));
+    }
+    Ok(cfg)
 }

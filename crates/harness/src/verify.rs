@@ -25,8 +25,8 @@ use tiering_verify::{
     PolicyKind, Topology, CLEAN, PROFILES,
 };
 
-use crate::take_bool_flag;
 use crate::tenants::{run_fleet, FleetConfig};
+use crate::{parse_u64, take_bool_flag, take_flag};
 
 /// Combined digests of `harness run --tenants 64 --millis 20 --threads 1
 /// --topology T --policy P`, one row per chain shape, one column per
@@ -66,23 +66,6 @@ const FLEET_DIGESTS: [(Topology, [u64; 10]); 2] = [
         ],
     ),
 ];
-
-/// Parses `--flag N` (decimal or `0x` hex) out of `args`; `None` when
-/// absent.
-fn take_u64_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<u64>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    let value = args.get(pos + 1).and_then(|v| match v.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => v.parse().ok(),
-    });
-    let Some(value) = value else {
-        return Err(format!("{flag} requires an integer argument"));
-    };
-    args.drain(pos..=pos + 1);
-    Ok(Some(value))
-}
 
 /// `harness verify [--bless]`. Returns the process exit code.
 pub fn run_verify(mut args: Vec<String>) -> i32 {
@@ -200,10 +183,11 @@ fn parse_fuzz(mut args: Vec<String>) -> Result<(&'static FuzzProfile, FuzzRun, u
             return Err(format!("{} are mutually exclusive", flags.join(", ")));
         }
     };
-    let seeds = take_u64_flag(&mut args, "--seeds")?;
-    let ops = take_u64_flag(&mut args, "--ops")?;
-    let seed_base = take_u64_flag(&mut args, "--seed-base")?;
-    let replay = take_u64_flag(&mut args, "--replay")?;
+    let mut int = |flag| take_flag(&mut args, flag, "an integer argument", parse_u64);
+    let seeds = int("--seeds")?;
+    let ops = int("--ops")?;
+    let seed_base = int("--seed-base")?;
+    let replay = int("--replay")?;
     let self_test = take_bool_flag(&mut args, "--self-test");
     if let Some(unknown) = args.first() {
         return Err(format!("unknown argument '{unknown}'"));

@@ -16,7 +16,7 @@ use sim_clock::{DetRng, Nanos};
 
 use crate::tier::TierId;
 
-/// A scheduled hotplug-style capacity event on the fast tier.
+/// A scheduled hotplug-style capacity event on one tier.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityEvent {
     /// Virtual time at which the event fires.
@@ -25,25 +25,19 @@ pub struct CapacityEvent {
     pub kind: CapacityKind,
 }
 
-/// The hotplug directions. The `Fast*` variants predate N-tier chains and
-/// always target tier 0; the `Tier*` variants name their tier explicitly.
+/// The hotplug directions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CapacityKind {
-    /// Offline this fraction (0..1) of the fast tier's current usable
-    /// frames. Frames come out of the free pool; if the pool is short the
-    /// shrink takes what it can now and the rest as demotion frees more.
-    ShrinkFastFraction(f64),
-    /// Bring up to this many previously offlined frames back online.
-    GrowFastFrames(u32),
-    /// Per-tier shrink: same semantics as [`CapacityKind::ShrinkFastFraction`]
-    /// but on an arbitrary tier of the chain.
+    /// Offline a fraction of the tier's current usable frames. Frames come
+    /// out of the free pool; if the pool is short the shrink takes what it
+    /// can now and the rest as demotion frees more.
     ShrinkTierFraction {
         /// Tier whose capacity shrinks.
         tier: TierId,
         /// Fraction (0..1) of current usable frames to offline.
         fraction: f64,
     },
-    /// Per-tier grow: same semantics as [`CapacityKind::GrowFastFrames`].
+    /// Bring up to this many previously offlined frames back online.
     GrowTierFrames {
         /// Tier whose capacity grows.
         tier: TierId,
@@ -53,11 +47,9 @@ pub enum CapacityKind {
 }
 
 impl CapacityKind {
-    /// The tier a capacity event targets (legacy fast-tier variants target
-    /// tier 0).
+    /// The tier a capacity event targets.
     pub fn tier(&self) -> TierId {
         match *self {
-            CapacityKind::ShrinkFastFraction(_) | CapacityKind::GrowFastFrames(_) => TierId::FAST,
             CapacityKind::ShrinkTierFraction { tier, .. }
             | CapacityKind::GrowTierFrames { tier, .. } => tier,
         }
@@ -162,7 +154,10 @@ impl FaultPlan {
             copy_poison: 0.0001,
             capacity_events: vec![CapacityEvent {
                 at: Nanos(run_for.as_nanos() / 2),
-                kind: CapacityKind::ShrinkFastFraction(0.25),
+                kind: CapacityKind::ShrinkTierFraction {
+                    tier: TierId::FAST,
+                    fraction: 0.25,
+                },
             }],
             degrade_windows: Vec::new(),
             tier_events: Vec::new(),
@@ -497,11 +492,17 @@ mod tests {
         plan.capacity_events = vec![
             CapacityEvent {
                 at: Nanos(200),
-                kind: CapacityKind::GrowFastFrames(8),
+                kind: CapacityKind::GrowTierFrames {
+                    tier: TierId::FAST,
+                    frames: 8,
+                },
             },
             CapacityEvent {
                 at: Nanos(100),
-                kind: CapacityKind::ShrinkFastFraction(0.5),
+                kind: CapacityKind::ShrinkTierFraction {
+                    tier: TierId::FAST,
+                    fraction: 0.5,
+                },
             },
         ];
         let mut s = FaultState::new(plan);

@@ -60,5 +60,5 @@ pub use system::{
     scan_budget_pages, AccessResult, MigrateError, MigrateMode, MigrationFailure, Process,
     TieredSystem,
 };
-pub use tier::{EdgeSpec, TierChain, TierHealth, TierId, TierSpec, MAX_TIERS};
+pub use tier::{TierChain, TierHealth, TierId, TierSpec, MAX_TIERS};
 pub use watermark::Watermarks;

@@ -74,6 +74,16 @@ impl AddressSpace {
                 .has(PageFlags::HUGE_SPLIT)
     }
 
+    /// Base pages in the mapping unit of `vpn`: a whole block while it is
+    /// mapped huge, one page otherwise.
+    pub fn unit_pages(&self, vpn: Vpn) -> u32 {
+        if self.is_huge_mapped(vpn) {
+            HUGE_2M_PAGES
+        } else {
+            1
+        }
+    }
+
     /// Immutable access to a page entry.
     #[inline]
     pub fn entry(&self, vpn: Vpn) -> &PageEntry {

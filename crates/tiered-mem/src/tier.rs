@@ -2,8 +2,9 @@
 //!
 //! The substrate models an ordered *chain* of managed tiers — tier 0 is the
 //! fastest (DRAM), higher indices are progressively slower/larger (CXL
-//! memory, PMem) — with migration allowed only between adjacent tiers over
-//! per-edge bandwidth channels ([`EdgeSpec`]). Swap remains the unmanaged
+//! memory, PMem) — with migration allowed only between adjacent tiers, each
+//! copy running at the slower endpoint's bandwidth
+//! ([`TierChain::copy_time`]). Swap remains the unmanaged
 //! terminal backstop behind the last tier ([`TierChain::backstop`]): no
 //! hotness tracking, just a place reclaimed pages go and major faults come
 //! from. The classic two-tier DRAM+PMem shape of the paper's testbed is the
@@ -201,60 +202,18 @@ impl TierSpec {
     }
 }
 
-/// Cost model of the copy channel between two adjacent tiers.
-///
-/// The default derived by [`EdgeSpec::between`] reproduces the historical
-/// two-tier migration cost bit for bit: the copy runs at the *slower* of the
-/// two endpoint bandwidths (`max` of the per-tier transfer times equals the
-/// transfer time at the `min` bandwidth, since both are the same byte count
-/// divided by each bandwidth), with no fixed edge latency and no write
-/// asymmetry.
-#[derive(Debug, Clone)]
-pub struct EdgeSpec {
-    /// Sustained copy bandwidth over this edge, bytes/second.
-    pub bandwidth: u64,
-    /// Fixed extra latency per migration over this edge (interconnect setup,
-    /// e.g. a CXL switch hop). Zero on derived edges.
-    pub extra_latency: Nanos,
-    /// Multiplier on the copy time when moving *down* the edge (writing into
-    /// the slower endpoint), modelling write-asymmetric devices. `1.0` (the
-    /// derived default) charges nothing extra and skips the float path.
-    pub write_asymmetry: f64,
-}
-
-impl EdgeSpec {
-    /// Derives the compat edge between two adjacent tiers: bandwidth is the
-    /// minimum of the endpoints', no extra latency, no write asymmetry.
-    pub fn between(a: &TierSpec, b: &TierSpec) -> EdgeSpec {
-        EdgeSpec {
-            bandwidth: a.migration_bandwidth.min(b.migration_bandwidth),
-            extra_latency: Nanos::ZERO,
-            write_asymmetry: 1.0,
-        }
-    }
-
-    /// Time to copy `pages` base pages over this edge's bandwidth.
-    pub fn transfer_time(&self, pages: u64) -> Nanos {
-        let bytes = pages * BASE_PAGE_BYTES;
-        Nanos(bytes.saturating_mul(1_000_000_000) / self.bandwidth.max(1))
-    }
-}
-
-/// An ordered chain of managed tiers, the copy edges between adjacent pairs,
-/// and the unmanaged swap backstop behind the last tier.
+/// An ordered chain of managed tiers and the unmanaged swap backstop behind
+/// the last tier.
 #[derive(Debug, Clone)]
 pub struct TierChain {
     /// Managed tiers, fastest first. Length 2..=[`MAX_TIERS`].
     pub tiers: Vec<TierSpec>,
-    /// Copy edges; `edges[i]` connects `tiers[i]` and `tiers[i + 1]`.
-    pub edges: Vec<EdgeSpec>,
     /// The unmanaged terminal: the swap device behind the last tier.
     pub backstop: SwapSpec,
 }
 
 impl TierChain {
-    /// Builds a chain from tier specs, deriving each edge via
-    /// [`EdgeSpec::between`] and using the default swap backstop.
+    /// Builds a chain from tier specs with the default swap backstop.
     ///
     /// Panics if the chain has fewer than 2 or more than [`MAX_TIERS`] tiers.
     pub fn new(tiers: Vec<TierSpec>) -> TierChain {
@@ -264,13 +223,8 @@ impl TierChain {
             MAX_TIERS,
             tiers.len()
         );
-        let edges = tiers
-            .windows(2)
-            .map(|w| EdgeSpec::between(&w[0], &w[1]))
-            .collect();
         TierChain {
             tiers,
-            edges,
             backstop: SwapSpec::default(),
         }
     }
@@ -306,10 +260,16 @@ impl TierChain {
         a < self.len() && b < self.len() && a.abs_diff(b) == 1
     }
 
-    /// The edge connecting two *adjacent* tiers. Panics if not adjacent.
-    pub fn edge_between(&self, a: TierId, b: TierId) -> &EdgeSpec {
-        debug_assert!(self.adjacent(a, b), "no edge between {:?} and {:?}", a, b);
-        &self.edges[a.index().min(b.index())]
+    /// Time to copy `pages` base pages between tiers `a` and `b`, over an
+    /// adjacent or a spliced hop alike: the transfer time at the slower
+    /// endpoint's migration bandwidth. One division at the `min` bandwidth
+    /// equals the `max` of the two per-tier transfer times bit for bit.
+    pub fn copy_time(&self, a: TierId, b: TierId, pages: u64) -> Nanos {
+        let bw = self
+            .tier(a)
+            .migration_bandwidth
+            .min(self.tier(b).migration_bandwidth);
+        Nanos((pages * BASE_PAGE_BYTES).saturating_mul(1_000_000_000) / bw.max(1))
     }
 
     /// Total capacity in frames across all managed tiers.
@@ -369,24 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn derived_edge_reproduces_two_tier_copy_cost() {
-        // max(per-tier transfer times) == transfer time at min bandwidth,
-        // bit for bit — the compat proof behind every existing golden.
-        let d = TierSpec::dram(1024);
-        let p = TierSpec::pmem(1024);
-        let e = EdgeSpec::between(&d, &p);
-        assert_eq!(e.bandwidth, p.migration_bandwidth);
-        assert_eq!(e.extra_latency, Nanos::ZERO);
-        assert_eq!(e.write_asymmetry, 1.0);
-        for pages in [1u64, 7, 512, 4096] {
-            assert_eq!(
-                e.transfer_time(pages),
-                d.transfer_time(pages).max(p.transfer_time(pages))
-            );
-        }
-    }
-
-    #[test]
     fn chain_derives_adjacent_edges() {
         let c = TierChain::new(vec![
             TierSpec::dram(64),
@@ -394,18 +336,43 @@ mod tests {
             TierSpec::pmem(256),
         ]);
         assert_eq!(c.len(), 3);
-        assert_eq!(c.edges.len(), 2);
         assert_eq!(c.last(), TierId(2));
         assert_eq!(c.total_frames(), 64 + 128 + 256);
         assert!(c.adjacent(TierId(0), TierId(1)));
         assert!(c.adjacent(TierId(2), TierId(1)));
         assert!(!c.adjacent(TierId(0), TierId(2)));
         assert!(!c.adjacent(TierId(0), TierId(0)));
-        // dram↔cxl runs at CXL bandwidth; cxl↔pmem at PMem bandwidth.
-        assert_eq!(c.edge_between(TierId(0), TierId(1)).bandwidth, 8 << 30);
-        assert_eq!(c.edge_between(TierId(1), TierId(2)).bandwidth, 4 << 30);
         let ids: Vec<u8> = c.ids().map(|t| t.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn copy_time_is_the_slower_endpoints_transfer_time() {
+        // Pinned: 4 KiB and 2 MiB over 8 GiB/s (DRAM<->CXL) and 4 GiB/s
+        // (either tier <-> PMem), in both directions, adjacent or not.
+        let c = TierChain::new(vec![
+            TierSpec::dram(64),
+            TierSpec::cxl(128),
+            TierSpec::pmem(256),
+        ]);
+        let pinned = [
+            ((0, 1), 476, 244_140),
+            ((1, 2), 953, 488_281),
+            ((0, 2), 953, 488_281),
+        ];
+        for ((a, b), base, huge) in pinned {
+            let (a, b) = (TierId(a), TierId(b));
+            for (x, y) in [(a, b), (b, a)] {
+                assert_eq!(c.copy_time(x, y, 1), Nanos(base));
+                assert_eq!(c.copy_time(x, y, 512), Nanos(huge));
+                // The max of the two per-tier transfer times, bit for bit.
+                for pages in [1u64, 7, 512, 4096] {
+                    let (tx, ty) = (c.tier(x), c.tier(y));
+                    let max = tx.transfer_time(pages).max(ty.transfer_time(pages));
+                    assert_eq!(c.copy_time(x, y, pages), max);
+                }
+            }
+        }
     }
 
     #[test]

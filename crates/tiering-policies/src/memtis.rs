@@ -109,14 +109,6 @@ impl Memtis {
         self.splits
     }
 
-    fn unit_pages(sys: &TieredSystem, pid: ProcessId, unit: Vpn) -> u64 {
-        if sys.process(pid).space.is_huge_mapped(unit) {
-            HUGE_2M_PAGES as u64
-        } else {
-            1
-        }
-    }
-
     /// Recomputes the hot threshold so the hot set ≤ fill ratio × fast tier.
     fn adjust_threshold(&mut self, sys: &TieredSystem) {
         let budget = (sys.total_frames(TierId::FAST) as f64 * self.cfg.fast_fill_ratio) as u64;
@@ -267,7 +259,7 @@ impl TieringPolicy for Memtis {
             return;
         }
         let unit = sys.process(pid).space.pte_page(vpn);
-        let unit_pages = Self::unit_pages(sys, pid, unit);
+        let unit_pages = u64::from(sys.process(pid).space.unit_pages(unit));
         let threshold = self.hot_threshold;
         let e = sys.process_mut(pid).space.entry_mut(unit);
         let old_bin = bin_of(e.policy_extra);

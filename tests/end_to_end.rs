@@ -153,8 +153,7 @@ fn cxl_bottom_tier_outruns_pmem() {
     );
     // The chains the runs were actually built on carry the device asymmetry
     // in the tier specs: PMem stores pay a large premium over loads, CXL's
-    // are near-symmetric — and both derived copy edges charge no extra
-    // write-asymmetry stretch (that knob stays at the compat default).
+    // are near-symmetric.
     let slow = |run: &chrono_repro::harness::StandardRun| run.sys.config().slow().clone();
     let (ps, cs) = (slow(&pmem), slow(&cxl));
     assert!(cs.read_latency < ps.read_latency);
@@ -163,10 +162,6 @@ fn cxl_bottom_tier_outruns_pmem() {
         (cs.write_latency.0 - cs.read_latency.0) < (ps.write_latency.0 - ps.read_latency.0),
         "CXL must be closer to write-symmetric than PMem"
     );
-    for run in [&pmem, &cxl] {
-        let edge = run.sys.config().chain.edge_between(TierId(0), TierId(1));
-        assert_eq!(edge.write_asymmetry, 1.0, "derived edges stay symmetric");
-    }
     // Both runs actually exercised the bottom tier and migrated pages, so
     // the comparison is not vacuous.
     for run in [&pmem, &cxl] {
