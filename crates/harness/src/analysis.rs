@@ -2,16 +2,14 @@
 //! entry points into the `tiering-analysis` layer.
 //!
 //! ```text
-//! harness lint [--all] [--rules] [--json]
+//! harness lint [--all] [--rules]
 //! harness model-check [--bless]
 //! harness race-check [--bless]
 //! ```
 //!
-//! `lint` runs chrono-lint over the workspace against the committed waiver
-//! baseline and fails on any unwaived finding or stale baseline entry
-//! (`--all` also prints the waived findings; `--rules` prints the rule
-//! catalog; `--json` emits the machine-readable findings document instead
-//! of text). `model-check` enumerates the exact reachable `PageFlags`
+//! `lint` runs chrono-lint over the workspace and fails on any finding not
+//! waived inline (`--all` also prints the waived findings; `--rules` prints
+//! the rule catalog). `model-check` enumerates the exact reachable `PageFlags`
 //! lifecycle set, asserts every reachable state legal and every declared
 //! transition live, and diffs the rendered reachability report against the
 //! committed golden (`--bless` rewrites it); it then does the same for the
@@ -26,11 +24,10 @@
 use std::path::Path;
 
 use tiering_analysis::{
-    baseline_path, check_health_model, check_model, check_races, describe_health_state,
-    findings_to_json, golden_path, health_legality_rules, health_transitions, legality_rules,
-    lint_workspace, race_configs, race_golden_path, render_health_report, render_race_report,
-    render_report, tier_health, tier_health_golden_path, transitions, workspace_root, Finding,
-    GrantRule, Transition, RULES,
+    check_health_model, check_model, check_races, describe_health_state, golden_path,
+    health_legality_rules, health_transitions, legality_rules, lint_workspace, race_configs,
+    race_golden_path, render_health_report, render_race_report, render_report, tier_health,
+    tier_health_golden_path, transitions, workspace_root, Finding, GrantRule, Transition, RULES,
 };
 
 use crate::take_bool_flag;
@@ -88,11 +85,10 @@ pub fn render_rules() -> String {
     out
 }
 
-/// `harness lint [--all] [--rules] [--json]`. Returns the process exit code.
+/// `harness lint [--all] [--rules]`. Returns the process exit code.
 pub fn run_lint(mut args: Vec<String>) -> i32 {
     let show_all = take_bool_flag(&mut args, "--all");
     let show_rules = take_bool_flag(&mut args, "--rules");
-    let json = take_bool_flag(&mut args, "--json");
     if let Some(unknown) = args.first() {
         eprintln!("lint: unknown argument '{unknown}'");
         return 2;
@@ -102,8 +98,7 @@ pub fn run_lint(mut args: Vec<String>) -> i32 {
         return 0;
     }
 
-    let baseline = std::fs::read_to_string(baseline_path()).unwrap_or_default();
-    let report = match lint_workspace(&workspace_root(), &baseline) {
+    let report = match lint_workspace(&workspace_root()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lint: cannot scan workspace: {e}");
@@ -112,36 +107,20 @@ pub fn run_lint(mut args: Vec<String>) -> i32 {
     };
 
     let unwaived: Vec<&Finding> = report.unwaived().collect();
-    if json {
-        print!("{}", findings_to_json(&report));
-        return if unwaived.is_empty() && report.stale_baseline.is_empty() {
-            0
-        } else {
-            1
-        };
-    }
     for f in &report.findings {
         if show_all || f.waived == tiering_analysis::lint::Waived::No {
             println!("{f}");
         }
     }
-    for stale in &report.stale_baseline {
-        println!("stale baseline entry (matches nothing): {stale}");
-    }
     let waived = report.findings.len() - unwaived.len();
     println!(
-        "lint: {} files, {} finding(s) ({} waived, {} unwaived), {} stale baseline entr(ies)",
+        "lint: {} files, {} finding(s) ({} waived, {} unwaived)",
         report.files_scanned,
         report.findings.len(),
         waived,
         unwaived.len(),
-        report.stale_baseline.len()
     );
-    if unwaived.is_empty() && report.stale_baseline.is_empty() {
-        0
-    } else {
-        1
-    }
+    i32::from(!unwaived.is_empty())
 }
 
 /// `harness model-check [--bless]`. Returns the process exit code.
@@ -361,17 +340,5 @@ mod tests {
                 "missing {rule} in the catalog"
             );
         }
-    }
-
-    #[test]
-    fn lint_json_document_round_trips_from_a_live_scan() {
-        let baseline = std::fs::read_to_string(baseline_path()).unwrap_or_default();
-        let report = lint_workspace(&workspace_root(), &baseline).expect("scan");
-        let json = findings_to_json(&report);
-        let (files, findings, stale) =
-            tiering_analysis::findings_from_json(&json).expect("schema round-trip");
-        assert_eq!(files, report.files_scanned);
-        assert_eq!(findings, report.findings);
-        assert_eq!(stale, report.stale_baseline);
     }
 }

@@ -111,7 +111,7 @@ fn adapt_run(kind: PolicyKind, scale: &Scale) -> (Vec<f64>, SystemStats) {
     let mut prev = bed.sys.stats.clone();
     let mut interval_fmar = Vec::new();
     bed.run_in_steps(kind.name(), &mut *kind.build(scale), 8, |sys| {
-        interval_fmar.push(sys.stats.delta_since(&prev).fmar());
+        interval_fmar.push(sys.stats.fmar_since(&prev));
         prev = sys.stats.clone();
     });
     (interval_fmar, bed.sys.stats)

@@ -14,7 +14,7 @@
 //!              [--tenant-storm] [--three-tier] [--tier-chaos]
 //! harness run --tenants N [--threads T] [--policy NAME] [--millis MS]
 //!             [--seed X] [--slots N] [--topology NAME]
-//! harness lint [--all] [--rules] [--json]
+//! harness lint [--all] [--rules]
 //! harness model-check [--bless]
 //! harness race-check [--bless]
 //! harness bench [--quick] [--check] [--suite fig10|substrate]
@@ -24,8 +24,7 @@
 //! `--fault-seed` and `--topology` shape every experiment run and nothing
 //! else. A subcommand given one of the first five exits 2 rather than
 //! ignore it. So does every subcommand but `bench`, whose runs the sink
-//! writes, given the sink flags `--json DIR` / `--trace DIR` (a `--json`
-//! after `lint` stays lint's own flag).
+//! writes, given the sink flags `--json DIR` / `--trace DIR`.
 //!
 //! `--inflight-slots` / `--migration-backlog-cap` bound the two-phase
 //! migration engine (transactions in flight / queued copy milliseconds per
@@ -141,22 +140,16 @@ fn parse(mut args: Vec<String>) -> Result<Cli, String> {
     let seed = take_flag(&mut args, "--fault-seed", "an integer", parse_u64)?;
     scale.fault_seed = seed.unwrap_or(scale.fault_seed);
 
-    let mut sub = subcommand(&args).map(|(name, _)| name);
+    let dir = |v: &str| Some(PathBuf::from(v));
+    let json = take_flag(&mut args, "--json", "a directory argument", dir)?;
+    let trace = take_flag(&mut args, "--trace", "a directory argument", dir)?;
     let mut cli = Cli {
         scale,
-        json: None,
-        trace: None,
+        json,
+        trace,
         args,
     };
-    // The analysis subcommands own `--json`: machine-readable findings,
-    // not a sink directory.
-    if !matches!(sub, Some("lint" | "model-check" | "race-check")) {
-        let dir = |v: &str| Some(PathBuf::from(v));
-        cli.json = take_flag(&mut cli.args, "--json", "a directory argument", dir)?;
-        cli.trace = take_flag(&mut cli.args, "--trace", "a directory argument", dir)?;
-        sub = subcommand(&cli.args).map(|(name, _)| name);
-    }
-    if let Some(sub) = sub {
+    if let Some((sub, _)) = subcommand(&cli.args) {
         // `bench` drives its runs through the runner, so the sink does
         // write them.
         let sink = [(&cli.json, "--json"), (&cli.trace, "--trace")]
@@ -233,7 +226,7 @@ fn main() {
             "run"
         );
         println!(
-            "  {:8} chrono-lint static analysis [--all] [--rules] [--json]",
+            "  {:8} chrono-lint static analysis [--all] [--rules]",
             "lint"
         );
         println!(
@@ -335,6 +328,7 @@ mod tests {
             ("--trace", "--trace out fuzz --seeds 2"),
             ("--json", "fuzz --seeds 2 --json out"),
             ("--json", "--json out lint"),
+            ("--json", "lint --json out"),
             ("--trace", "--trace out race-check"),
         ] {
             let msg = refusal(line);
@@ -355,10 +349,7 @@ mod tests {
         assert_eq!(cli.args, ["fig1"]);
         assert_eq!(cli.scale.topology, Topology::DramCxl);
         assert_eq!(cli.json, Some(PathBuf::from("out")));
-        assert!(ok("lint --json")
-            .expect("lint")
-            .args
-            .contains(&"--json".into()));
+        assert_eq!(ok("lint --all").expect("lint").args, ["lint", "--all"]);
         assert!(ok("--json out bench --quick").is_ok());
         assert!(ok("run --topology three-tier").is_ok());
         assert!(ok("--fault-plan canonical3 fig1").is_err());

@@ -5,8 +5,9 @@
 //!             [--seed X] [--slots N] [--topology dram-pmem|dram-cxl|three-tier]
 //! ```
 //!
-//! Builds `N` tenant shards with skewed popularity (zipf-0.7 working sets on
-//! per-tenant RNG streams split from the run seed) and skewed admission
+//! Builds `N` tenant shards with skewed popularity (pmbench's Gaussian
+//! pattern at a 0.7 read ratio, on per-tenant RNG streams split from the
+//! run seed) and skewed admission
 //! weights over a weighted partition of a shared frame pool, runs them on
 //! `T` worker threads under the TierBPF-style admission hook, and reports
 //! fairness (per-tenant FMAR spread, slot-share Gini, starvation) and

@@ -18,4 +18,4 @@ pub mod rng;
 
 pub use clock::{Clock, Nanos, MICROSECOND, MILLISECOND, SECOND};
 pub use event::{EventId, EventQueue};
-pub use rng::{DetRng, Zipf};
+pub use rng::DetRng;

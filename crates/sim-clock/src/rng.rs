@@ -192,100 +192,6 @@ impl DetRng {
     }
 }
 
-/// A Zipf(θ) sampler over `[0, n)` using the rejection-inversion method of
-/// Hörmann & Derflinger, which is O(1) per sample for any skew.
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    n: u64,
-    theta: f64,
-    // Precomputed constants for rejection-inversion.
-    h_x1: f64,
-    h_integral_x1: f64,
-    h_integral_n: f64,
-    s: f64,
-}
-
-impl Zipf {
-    /// Creates a Zipf sampler over `n` items with exponent `theta > 0`,
-    /// `theta != 1` handled via the generalized harmonic integral.
-    pub fn new(n: u64, theta: f64) -> Zipf {
-        assert!(n > 0, "Zipf needs at least one item");
-        assert!(theta > 0.0, "Zipf exponent must be positive");
-        let h_integral = |x: f64| -> f64 {
-            let log_x = x.ln();
-            helper_h((1.0 - theta) * log_x) * log_x
-        };
-        let h = |x: f64| -> f64 { (-theta * x.ln()).exp() };
-        let h_integral_x1 = h_integral(1.5) - 1.0;
-        let h_integral_n = h_integral(n as f64 + 0.5);
-        let s = 2.0 - h_integral_inverse(h_integral(2.5) - h(2.0), theta);
-        Zipf {
-            n,
-            theta,
-            h_x1: h(1.0),
-            h_integral_x1,
-            h_integral_n,
-            s,
-        }
-    }
-
-    /// Draws a rank in `[0, n)`; rank 0 is the most popular.
-    pub fn sample(&self, rng: &mut DetRng) -> u64 {
-        loop {
-            let u = self.h_integral_x1 + rng.unit_f64() * (self.h_integral_n - self.h_integral_x1);
-            let x = h_integral_inverse(u, self.theta);
-            let k = x.round().clamp(1.0, self.n as f64);
-            let k_int = k as u64;
-            let h_integral = |x: f64| -> f64 {
-                let log_x = x.ln();
-                helper_h((1.0 - self.theta) * log_x) * log_x
-            };
-            let h = |x: f64| -> f64 { (-self.theta * x.ln()).exp() };
-            if k - x <= self.s || u >= h_integral(k + 0.5) - h(k) {
-                return k_int - 1;
-            }
-        }
-    }
-
-    /// Number of items in the distribution's support.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Ensures the unused field participates in Debug output only.
-    #[doc(hidden)]
-    pub fn h_x1(&self) -> f64 {
-        self.h_x1
-    }
-}
-
-/// `(exp(x) - 1) / x`, numerically stable near zero.
-fn helper_h(x: f64) -> f64 {
-    if x.abs() > 1e-8 {
-        x.exp_m1() / x
-    } else {
-        1.0 + x / 2.0 * (1.0 + x / 3.0)
-    }
-}
-
-/// Inverse of the `h_integral` used by the Zipf sampler.
-fn h_integral_inverse(x: f64, theta: f64) -> f64 {
-    let mut t = x * (1.0 - theta);
-    if t < -1.0 {
-        t = -1.0;
-    }
-    (helper_h_inv(t) * x).exp()
-}
-
-/// Inverse of `x ↦ ln(1+x)/x` via `ln1p`, stable near zero.
-fn helper_h_inv(x: f64) -> f64 {
-    if x.abs() > 1e-8 {
-        x.ln_1p() / x
-    } else {
-        1.0 - x / 2.0 + x * x / 3.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,34 +343,6 @@ mod tests {
                 "split({seed:#x}, {stream}) drifted"
             );
         }
-    }
-
-    #[test]
-    fn zipf_is_skewed_toward_low_ranks() {
-        let z = Zipf::new(1000, 0.99);
-        let mut rng = DetRng::seed(10);
-        let n = 100_000;
-        let mut top10 = 0usize;
-        for _ in 0..n {
-            let r = z.sample(&mut rng);
-            assert!(r < 1000);
-            if r < 10 {
-                top10 += 1;
-            }
-        }
-        // For Zipf(0.99) over 1000 items, the top-10 mass is ≈ 39%.
-        let frac = top10 as f64 / n as f64;
-        assert!(frac > 0.3, "top-10 fraction was {}", frac);
-    }
-
-    #[test]
-    fn zipf_low_skew_is_flatter() {
-        let z = Zipf::new(1000, 0.2);
-        let mut rng = DetRng::seed(11);
-        let n = 100_000;
-        let top10 = (0..n).filter(|_| z.sample(&mut rng) < 10).count();
-        let frac = top10 as f64 / n as f64;
-        assert!(frac < 0.1, "top-10 fraction was {}", frac);
     }
 
     #[test]

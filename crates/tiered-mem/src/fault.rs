@@ -416,23 +416,6 @@ impl FaultState {
         self.next_tier_event < self.plan.tier_events.len()
     }
 
-    /// Adds a tier event at runtime (fuzz ops, chaos drivers). Events added
-    /// after instantiation must fire later than everything already pending,
-    /// or they are clamped to fire with the next pending event.
-    pub fn add_tier_event(&mut self, e: TierEvent) {
-        let pos = self
-            .plan
-            .tier_events
-            .iter()
-            .skip(self.next_tier_event)
-            .position(|p| p.at > e.at)
-            .map(|i| i + self.next_tier_event)
-            .unwrap_or(self.plan.tier_events.len());
-        self.plan
-            .tier_events
-            .insert(pos.max(self.next_tier_event), e);
-    }
-
     /// Adds a degradation window at runtime (fuzz ops, procfs-style knobs).
     pub fn add_degrade_window(&mut self, w: DegradeWindow) {
         self.plan.degrade_windows.push(w);
@@ -568,30 +551,6 @@ mod tests {
         assert!(matches!(due[0].kind, TierEventKind::Online));
         assert!(!s.tier_events_pending());
         assert!(s.due_tier_events(Nanos(u64::MAX)).is_empty());
-    }
-
-    #[test]
-    fn runtime_tier_events_never_fire_before_the_cursor() {
-        let mut plan = FaultPlan::inert(0);
-        plan.tier_events = vec![TierEvent {
-            at: Nanos(100),
-            tier: TierId(1),
-            kind: TierEventKind::Offline {
-                deadline: Nanos(150),
-            },
-        }];
-        let mut s = FaultState::new(plan);
-        assert_eq!(s.due_tier_events(Nanos(120)).len(), 1);
-        // A late insertion with an already-past firing time still fires (on
-        // the next poll), rather than being skipped behind the cursor.
-        s.add_tier_event(TierEvent {
-            at: Nanos(50),
-            tier: TierId(1),
-            kind: TierEventKind::Online,
-        });
-        let due = s.due_tier_events(Nanos(120));
-        assert_eq!(due.len(), 1);
-        assert!(matches!(due[0].kind, TierEventKind::Online));
     }
 
     #[test]

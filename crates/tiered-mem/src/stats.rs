@@ -107,11 +107,18 @@ impl SystemStats {
 
     /// Fast-tier memory access ratio (FMAR), the Fig 8 headline metric.
     pub fn fmar(&self) -> f64 {
-        let total = self.total_accesses();
+        self.fmar_since(&SystemStats::default())
+    }
+
+    /// FMAR over the accesses counted since `earlier`, an older snapshot
+    /// of these counters (period and interval FMARs).
+    pub fn fmar_since(&self, earlier: &SystemStats) -> f64 {
+        let total = self.total_accesses() - earlier.total_accesses();
         if total == 0 {
             return 0.0;
         }
-        self.tier_accesses(TierId::FAST) as f64 / total as f64
+        let fast = self.tier_accesses(TierId::FAST) - earlier.tier_accesses(TierId::FAST);
+        fast as f64 / total as f64
     }
 
     /// Fraction of execution time spent in kernel work.
@@ -140,53 +147,6 @@ impl SystemStats {
         } else {
             self.reads[tier.index()] += 1;
         }
-    }
-
-    /// Difference of two snapshots (`self` − `earlier`), for interval stats.
-    pub fn delta_since(&self, earlier: &SystemStats) -> SystemStats {
-        let mut d = SystemStats {
-            demand_faults: self.demand_faults - earlier.demand_faults,
-            hint_faults: self.hint_faults - earlier.hint_faults,
-            promoted_pages: self.promoted_pages - earlier.promoted_pages,
-            demoted_pages: self.demoted_pages - earlier.demoted_pages,
-            failed_promotions: self.failed_promotions - earlier.failed_promotions,
-            failed_demotions: self.failed_demotions - earlier.failed_demotions,
-            begun_migrations: self.begun_migrations - earlier.begun_migrations,
-            completed_migrations: self.completed_migrations - earlier.completed_migrations,
-            aborted_migrations: self.aborted_migrations - earlier.aborted_migrations,
-            migration_bytes: self.migration_bytes - earlier.migration_bytes,
-            scanned_ptes: self.scanned_ptes - earlier.scanned_ptes,
-            context_switches: self.context_switches - earlier.context_switches,
-            kernel_time: self.kernel_time - earlier.kernel_time,
-            user_time: self.user_time - earlier.user_time,
-            thrash_events: self.thrash_events - earlier.thrash_events,
-            swapped_out_pages: self.swapped_out_pages - earlier.swapped_out_pages,
-            swap_in_faults: self.swap_in_faults - earlier.swap_in_faults,
-            transient_copy_faults: self.transient_copy_faults - earlier.transient_copy_faults,
-            poisoned_copy_faults: self.poisoned_copy_faults - earlier.poisoned_copy_faults,
-            quarantined_frames: self.quarantined_frames - earlier.quarantined_frames,
-            offlined_frames: self.offlined_frames - earlier.offlined_frames,
-            restored_frames: self.restored_frames - earlier.restored_frames,
-            evacuated_pages: self.evacuated_pages - earlier.evacuated_pages,
-            evac_rehomed_pages: self.evac_rehomed_pages - earlier.evac_rehomed_pages,
-            evac_swapped_pages: self.evac_swapped_pages - earlier.evac_swapped_pages,
-            evac_faulted_pages: self.evac_faulted_pages - earlier.evac_faulted_pages,
-            tier_health_transitions: self.tier_health_transitions - earlier.tier_health_transitions,
-            ..SystemStats::default()
-        };
-        for t in 0..MAX_TIERS {
-            d.reads[t] = self.reads[t] - earlier.reads[t];
-            d.writes[t] = self.writes[t] - earlier.writes[t];
-        }
-        for r in 0..MigrateError::REASONS.len() {
-            d.failed_fast_migrations[r] =
-                self.failed_fast_migrations[r] - earlier.failed_fast_migrations[r];
-        }
-        for e in 0..MAX_TIERS - 1 {
-            d.promoted_per_edge[e] = self.promoted_per_edge[e] - earlier.promoted_per_edge[e];
-            d.demoted_per_edge[e] = self.demoted_per_edge[e] - earlier.demoted_per_edge[e];
-        }
-        d
     }
 }
 
@@ -235,36 +195,17 @@ mod tests {
     }
 
     #[test]
-    fn delta_subtracts_fieldwise() {
+    fn fmar_since_counts_only_the_newer_accesses() {
         let mut a = SystemStats::default();
-        a.count_access(TierId::FAST, false);
-        a.hint_faults = 3;
-        a.kernel_time = Nanos(100);
+        a.count_access(TierId::SLOW, false);
         let mut b = a.clone();
-        b.count_access(TierId::SLOW, true);
-        b.count_access(TierId(2), false);
-        b.hint_faults = 7;
-        b.kernel_time = Nanos(180);
-        b.failed_fast_migrations[MigrateError::COUNT - 1] = 9;
-        b.evacuated_pages = 11;
-        b.evac_rehomed_pages = 6;
-        b.evac_swapped_pages = 3;
-        b.evac_faulted_pages = 2;
-        b.tier_health_transitions = 5;
-        let d = b.delta_since(&a);
-        assert_eq!(d.evacuated_pages, 11);
-        assert_eq!(d.evac_rehomed_pages, 6);
-        assert_eq!(d.evac_swapped_pages, 3);
-        assert_eq!(d.evac_faulted_pages, 2);
-        assert_eq!(d.tier_health_transitions, 5);
-        assert_eq!(d.hint_faults, 4);
-        assert_eq!(d.writes[TierId::SLOW.index()], 1);
-        assert_eq!(d.reads[TierId::FAST.index()], 0);
-        assert_eq!(d.reads[2], 1);
-        assert_eq!(d.kernel_time, Nanos(80));
-        // Indexed loop covers the *last* reason cell too — the hand-unrolled
-        // diff this replaced would silently truncate on a new variant.
-        assert_eq!(d.failed_fast_migrations[MigrateError::COUNT - 1], 9);
+        b.count_access(TierId::FAST, false);
+        b.count_access(TierId::FAST, true);
+        b.count_access(TierId(2), true);
+        b.count_access(TierId::SLOW, false);
+        assert_eq!(b.fmar_since(&a), 0.5);
+        assert_eq!(b.fmar_since(&b), 0.0);
+        assert_eq!(b.fmar(), 0.4);
     }
 
     #[test]

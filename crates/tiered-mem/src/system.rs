@@ -178,16 +178,16 @@ impl TieredSystem {
         if !self.trace.is_enabled() {
             return;
         }
-        let delta = self.stats.delta_since(&self.trace_baseline);
+        let (now, base) = (&self.stats, &self.trace_baseline);
         let sample = PeriodSample {
             timestamp: self.clock.now(),
             policy,
-            promoted_pages: delta.promoted_pages,
-            demoted_pages: delta.demoted_pages,
-            thrash_events: delta.thrash_events,
-            hint_faults: delta.hint_faults,
-            period_fmar: delta.fmar(),
-            fmar: self.stats.fmar(),
+            promoted_pages: now.promoted_pages - base.promoted_pages,
+            demoted_pages: now.demoted_pages - base.demoted_pages,
+            thrash_events: now.thrash_events - base.thrash_events,
+            hint_faults: now.hint_faults - base.hint_faults,
+            period_fmar: now.fmar_since(base),
+            fmar: now.fmar(),
             fast_used_frames: self.used_frames(TierId::FAST) as u64,
             // All non-top tiers together, so the gauge keeps its two-tier
             // meaning on longer chains ("frames not in the fast tier").

@@ -16,7 +16,6 @@ fn scan_budget_saturates_instead_of_wrapping() {
     let frames = 1 << 20;
     let interval = Nanos(100_000_000_000);
     let period = Nanos(1_000);
-    // lint:allow(timestamp-cast) the sentinel is the bare cast that wraps
     let wrapped = (frames as u64 * interval.as_nanos() / period.as_nanos().max(1)) as u32;
     assert_ne!(
         wrapped,

@@ -11,10 +11,8 @@
 //!   `cit_from_word` wrap-bug class), unit-suffix consistency,
 //!   `PageFlags` encapsulation, and the chrono-race concurrency
 //!   discipline (`shared-state`, `rng-stream`, `barrier-phase`) over the
-//!   sharding modules. Findings are machine-readable
-//!   (`file:line [rule] snippet`, or the [`findings_to_json`] document)
-//!   and waivable inline (`// lint:allow(<rule>) reason`) or via a
-//!   committed baseline.
+//!   sharding modules. Findings print as `file:line [rule] snippet` and
+//!   are waivable inline (`// lint:allow(<rule>) reason`).
 //! - [`model`] — an **exhaustive small-scope model checker** for the page
 //!   lifecycle: the transition relation (scan-unmap, hint-fault, probe,
 //!   candidate filter, enqueue, promote, demote, split, swap-out/in,
@@ -52,8 +50,7 @@ pub mod tier_health;
 use std::path::{Path, PathBuf};
 
 pub use lint::{
-    findings_from_json, findings_to_json, lint_source, lint_workspace, Finding, LintReport,
-    RESTRICTED_CRATES, RESTRICTED_FILES, RULES,
+    lint_source, lint_workspace, Finding, LintReport, RESTRICTED_CRATES, RESTRICTED_FILES, RULES,
 };
 pub use model::{
     check_model, explore, flag_word_reachable, legality_rules, render_report, transitions,
@@ -69,19 +66,14 @@ pub use tier_health::{
 };
 
 /// The workspace root, resolved from this crate's manifest directory
-/// (`crates/tiering-analysis` → two levels up). The lint scanner and the
-/// golden/baseline files are all addressed relative to this.
+/// (`crates/tiering-analysis` → two levels up). The lint scanner
+/// addresses the workspace relative to this.
 pub fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("crate lives two levels under the workspace root")
         .to_path_buf()
-}
-
-/// Path of the committed lint waiver baseline.
-pub fn baseline_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("lint-baseline.txt")
 }
 
 /// Path of the committed reachability golden.

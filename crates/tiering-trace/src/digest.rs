@@ -1,16 +1,18 @@
 //! Stable trace digests for determinism and golden-snapshot checks.
 //!
 //! A digest folds every recorded period sample and ring event into one
-//! 64-bit FNV-1a hash over a fixed byte encoding: integers as little-endian
-//! `u64`, floats via `f64::to_bits` (bit-exact, so two runs match only if
-//! every float matches), enum variants by a stable tag. Two runs of the same
-//! seeded simulation must produce identical digests; any divergence —
-//! `HashMap` iteration order leaking into decisions, a nondeterministic
-//! tie-break — flips the hash.
+//! 64-bit FNV-1a hash over a fixed byte encoding of each record's field
+//! list: integers as little-endian `u64`, floats via `f64::to_bits`
+//! (bit-exact, so two runs match only if every float matches), events
+//! behind a stable per-kind tag. Two runs of the same seeded simulation
+//! must produce identical digests; any divergence — `HashMap` iteration
+//! order leaking into decisions, a nondeterministic tie-break — flips the
+//! hash.
 
 use sim_clock::Nanos;
 
 use crate::event::{MigrateDir, TraceEvent};
+use crate::export::Value;
 use crate::period::PeriodSample;
 
 /// Incremental 64-bit FNV-1a hasher over a stable encoding.
@@ -19,14 +21,6 @@ pub struct TraceDigest(u64);
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Stable tag for a migration direction.
-fn dir_tag(dir: MigrateDir) -> u64 {
-    match dir {
-        MigrateDir::Promote => 0,
-        MigrateDir::Demote => 1,
-    }
-}
 
 impl Default for TraceDigest {
     fn default() -> TraceDigest {
@@ -59,14 +53,19 @@ impl TraceDigest {
         self.u64(v.to_bits())
     }
 
-    /// Folds a boolean.
-    pub fn bool(&mut self, v: bool) -> &mut Self {
-        self.u64(v as u64)
-    }
-
-    /// Folds a timestamp.
-    pub fn nanos(&mut self, v: Nanos) -> &mut Self {
-        self.u64(v.as_nanos())
+    /// Folds one record field.
+    fn field(&mut self, v: Value) -> &mut Self {
+        match v {
+            Value::U64(v) => self.u64(v),
+            Value::F64(v) => self.f64(v),
+            Value::Bool(v) => self.u64(v.into()),
+            Value::Dir(MigrateDir::Promote) => self.u64(0),
+            Value::Dir(MigrateDir::Demote) => self.u64(1),
+            // An all-Online gauge packs to 0 and is skipped, keeping every
+            // digest of a fault-free run what it was before the gauge.
+            Value::Health(0) => self,
+            Value::Health(v) => self.u64(v.into()),
+        }
     }
 
     /// The current hash value.
@@ -79,176 +78,21 @@ impl TraceDigest {
         format!("{:016x}", self.0)
     }
 
-    /// Folds one period sample (every field, fixed order).
+    /// Folds one period sample: every field, in list order.
     pub fn period(&mut self, s: &PeriodSample) -> &mut Self {
-        self.nanos(s.timestamp)
-            .nanos(s.policy.cit_threshold)
-            .u64(s.policy.rate_limit_bps)
-            .u64(s.policy.queue_depth)
-            .u64(s.policy.enqueued_pages)
-            .u64(s.policy.dequeued_pages)
-            .u64(s.policy.dropped_pages)
-            .f64(s.policy.heat_overlap_ratio)
-            .u64(s.promoted_pages)
-            .u64(s.demoted_pages)
-            .u64(s.thrash_events)
-            .u64(s.hint_faults)
-            .f64(s.period_fmar)
-            .f64(s.fmar)
-            .u64(s.fast_used_frames)
-            .u64(s.slow_used_frames)
-            .u64(s.in_flight_migrations)
-            .u64(s.quarantined_frames)
-            .u64(s.offlined_frames);
-        // Folded only when some tier is unhealthy: an all-Online gauge packs
-        // to 0 and is skipped, keeping every pre-existing fault-free digest
-        // byte-identical.
-        if s.tier_health != 0 {
-            self.u64(s.tier_health as u64);
-        }
+        s.fields(|_, v| {
+            self.field(v);
+        });
         self
     }
 
-    /// Folds one discrete event with its timestamp and a per-variant tag.
+    /// Folds one discrete event: its timestamp, its kind's tag, then every
+    /// field in list order.
     pub fn event(&mut self, at: Nanos, ev: &TraceEvent) -> &mut Self {
-        self.nanos(at);
-        match *ev {
-            TraceEvent::Scan { pid, visited } => {
-                self.u64(1).u64(pid as u64).u64(visited);
-            }
-            TraceEvent::HintFault {
-                pid,
-                vpn,
-                cit,
-                below_threshold,
-            } => {
-                self.u64(2)
-                    .u64(pid as u64)
-                    .u64(vpn as u64)
-                    .nanos(cit)
-                    .bool(below_threshold);
-            }
-            TraceEvent::Enqueue { pid, vpn, pages } => {
-                self.u64(3)
-                    .u64(pid as u64)
-                    .u64(vpn as u64)
-                    .u64(pages as u64);
-            }
-            TraceEvent::MigrateComplete {
-                pid,
-                vpn,
-                pages,
-                dir,
-            } => {
-                self.u64(4)
-                    .u64(pid as u64)
-                    .u64(vpn as u64)
-                    .u64(pages as u64)
-                    .u64(dir_tag(dir));
-            }
-            TraceEvent::MigrateBegin {
-                pid,
-                vpn,
-                pages,
-                dir,
-            } => {
-                self.u64(8)
-                    .u64(pid as u64)
-                    .u64(vpn as u64)
-                    .u64(pages as u64)
-                    .u64(dir_tag(dir));
-            }
-            TraceEvent::MigrateAbort {
-                pid,
-                vpn,
-                pages,
-                dir,
-            } => {
-                self.u64(9)
-                    .u64(pid as u64)
-                    .u64(vpn as u64)
-                    .u64(pages as u64)
-                    .u64(dir_tag(dir));
-            }
-            TraceEvent::Thrash { pages } => {
-                self.u64(5).u64(pages);
-            }
-            TraceEvent::Tune {
-                cit_threshold,
-                rate_limit_bps,
-            } => {
-                self.u64(6).nanos(cit_threshold).u64(rate_limit_bps);
-            }
-            TraceEvent::DcscOverlap {
-                cutoff_bucket,
-                misplaced_pages,
-                misplacement_ratio,
-            } => {
-                self.u64(7)
-                    .u64(cutoff_bucket as u64)
-                    .f64(misplaced_pages)
-                    .f64(misplacement_ratio);
-            }
-            TraceEvent::CopyFault {
-                pid,
-                vpn,
-                pages,
-                dir,
-                transient,
-            } => {
-                self.u64(10)
-                    .u64(pid as u64)
-                    .u64(vpn as u64)
-                    .u64(pages as u64)
-                    .u64(dir_tag(dir))
-                    .bool(transient);
-            }
-            TraceEvent::Quarantine { tier, pfn } => {
-                self.u64(11).u64(tier as u64).u64(pfn as u64);
-            }
-            TraceEvent::FramePoison { pid, vpn } => {
-                self.u64(12).u64(pid as u64).u64(vpn as u64);
-            }
-            TraceEvent::Capacity {
-                tier,
-                offlined,
-                restored,
-                usable,
-            } => {
-                self.u64(13)
-                    .u64(tier as u64)
-                    .u64(offlined as u64)
-                    .u64(restored as u64)
-                    .u64(usable as u64);
-            }
-            TraceEvent::Retry { pid, vpn, attempt } => {
-                self.u64(14)
-                    .u64(pid as u64)
-                    .u64(vpn as u64)
-                    .u64(attempt as u64);
-            }
-            TraceEvent::Breaker {
-                open,
-                failure_ratio,
-            } => {
-                self.u64(15).bool(open).f64(failure_ratio);
-            }
-            TraceEvent::Admission {
-                tenant,
-                granted,
-                in_flight,
-                starvation,
-            } => {
-                self.u64(16)
-                    .u64(tenant as u64)
-                    .u64(granted as u64)
-                    .u64(in_flight as u64)
-                    .u64(starvation as u64);
-            }
-            TraceEvent::TierHealth { tier, state } => {
-                self.u64(17).u64(tier as u64).u64(state as u64);
-            }
-        }
+        self.u64(at.as_nanos()).u64(ev.tag());
+        ev.fields(|_, v| {
+            self.field(v);
+        });
         self
     }
 }
@@ -286,27 +130,5 @@ mod tests {
     #[test]
     fn hex_is_fixed_width() {
         assert_eq!(TraceDigest::new().hex().len(), 16);
-    }
-
-    #[test]
-    fn event_variants_hash_distinctly() {
-        let evs = [
-            TraceEvent::Scan { pid: 0, visited: 0 },
-            TraceEvent::Thrash { pages: 0 },
-            TraceEvent::Enqueue {
-                pid: 0,
-                vpn: 0,
-                pages: 0,
-            },
-        ];
-        let mut seen = Vec::new();
-        for ev in &evs {
-            let mut d = TraceDigest::new();
-            d.event(Nanos(0), ev);
-            seen.push(d.value());
-        }
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), evs.len());
     }
 }

@@ -2,7 +2,7 @@
 
 use sim_clock::Nanos;
 
-use crate::export::JsonWriter;
+use crate::export::Value;
 
 /// Direction of a migration event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,35 +196,48 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Stable event-kind label used in exports.
-    pub fn kind(&self) -> &'static str {
+    /// The kind's export label and digest tag. The tags are frozen (every
+    /// committed digest folds them) and do not follow declaration order.
+    fn label_and_tag(&self) -> (&'static str, u64) {
         match self {
-            TraceEvent::Scan { .. } => "scan",
-            TraceEvent::HintFault { .. } => "hint_fault",
-            TraceEvent::Enqueue { .. } => "enqueue",
-            TraceEvent::MigrateBegin { .. } => "migrate_begin",
-            TraceEvent::MigrateAbort { .. } => "migrate_abort",
-            TraceEvent::MigrateComplete { .. } => "migrate_complete",
-            TraceEvent::Thrash { .. } => "thrash",
-            TraceEvent::Tune { .. } => "tune",
-            TraceEvent::DcscOverlap { .. } => "dcsc_overlap",
-            TraceEvent::CopyFault { .. } => "copy_fault",
-            TraceEvent::Quarantine { .. } => "quarantine",
-            TraceEvent::FramePoison { .. } => "frame_poison",
-            TraceEvent::Capacity { .. } => "capacity",
-            TraceEvent::Retry { .. } => "retry",
-            TraceEvent::Breaker { .. } => "breaker",
-            TraceEvent::Admission { .. } => "admission",
-            TraceEvent::TierHealth { .. } => "tier_health",
+            TraceEvent::Scan { .. } => ("scan", 1),
+            TraceEvent::HintFault { .. } => ("hint_fault", 2),
+            TraceEvent::Enqueue { .. } => ("enqueue", 3),
+            TraceEvent::MigrateComplete { .. } => ("migrate_complete", 4),
+            TraceEvent::Thrash { .. } => ("thrash", 5),
+            TraceEvent::Tune { .. } => ("tune", 6),
+            TraceEvent::DcscOverlap { .. } => ("dcsc_overlap", 7),
+            TraceEvent::MigrateBegin { .. } => ("migrate_begin", 8),
+            TraceEvent::MigrateAbort { .. } => ("migrate_abort", 9),
+            TraceEvent::CopyFault { .. } => ("copy_fault", 10),
+            TraceEvent::Quarantine { .. } => ("quarantine", 11),
+            TraceEvent::FramePoison { .. } => ("frame_poison", 12),
+            TraceEvent::Capacity { .. } => ("capacity", 13),
+            TraceEvent::Retry { .. } => ("retry", 14),
+            TraceEvent::Breaker { .. } => ("breaker", 15),
+            TraceEvent::Admission { .. } => ("admission", 16),
+            TraceEvent::TierHealth { .. } => ("tier_health", 17),
         }
     }
 
-    /// Writes the event's fields (excluding timestamp/kind) into `w`.
-    pub(crate) fn write_fields(&self, w: &mut JsonWriter) {
+    /// Stable event-kind label used in exports.
+    pub fn kind(&self) -> &'static str {
+        self.label_and_tag().0
+    }
+
+    /// Stable per-kind tag the digest folds ahead of the fields.
+    pub(crate) fn tag(&self) -> u64 {
+        self.label_and_tag().1
+    }
+
+    /// The event's fields (excluding timestamp and kind) in export order,
+    /// as `(name, value)` pairs. The JSONL line and the digest both read
+    /// this one list.
+    pub fn fields(&self, mut f: impl FnMut(&'static str, Value)) {
         match *self {
             TraceEvent::Scan { pid, visited } => {
-                w.field_u64("pid", pid as u64);
-                w.field_u64("visited", visited);
+                f("pid", Value::U64(pid.into()));
+                f("visited", Value::U64(visited));
             }
             TraceEvent::HintFault {
                 pid,
@@ -232,15 +245,15 @@ impl TraceEvent {
                 cit,
                 below_threshold,
             } => {
-                w.field_u64("pid", pid as u64);
-                w.field_u64("vpn", vpn as u64);
-                w.field_u64("cit_ns", cit.as_nanos());
-                w.field_bool("below_threshold", below_threshold);
+                f("pid", Value::U64(pid.into()));
+                f("vpn", Value::U64(vpn.into()));
+                f("cit_ns", Value::U64(cit.as_nanos()));
+                f("below_threshold", Value::Bool(below_threshold));
             }
             TraceEvent::Enqueue { pid, vpn, pages } => {
-                w.field_u64("pid", pid as u64);
-                w.field_u64("vpn", vpn as u64);
-                w.field_u64("pages", pages as u64);
+                f("pid", Value::U64(pid.into()));
+                f("vpn", Value::U64(vpn.into()));
+                f("pages", Value::U64(pages.into()));
             }
             TraceEvent::MigrateBegin {
                 pid,
@@ -260,29 +273,27 @@ impl TraceEvent {
                 pages,
                 dir,
             } => {
-                w.field_u64("pid", pid as u64);
-                w.field_u64("vpn", vpn as u64);
-                w.field_u64("pages", pages as u64);
-                w.field_str("dir", dir.label());
+                f("pid", Value::U64(pid.into()));
+                f("vpn", Value::U64(vpn.into()));
+                f("pages", Value::U64(pages.into()));
+                f("dir", Value::Dir(dir));
             }
-            TraceEvent::Thrash { pages } => {
-                w.field_u64("pages", pages);
-            }
+            TraceEvent::Thrash { pages } => f("pages", Value::U64(pages)),
             TraceEvent::Tune {
                 cit_threshold,
                 rate_limit_bps,
             } => {
-                w.field_u64("cit_threshold_ns", cit_threshold.as_nanos());
-                w.field_u64("rate_limit_bps", rate_limit_bps);
+                f("cit_threshold_ns", Value::U64(cit_threshold.as_nanos()));
+                f("rate_limit_bps", Value::U64(rate_limit_bps));
             }
             TraceEvent::DcscOverlap {
                 cutoff_bucket,
                 misplaced_pages,
                 misplacement_ratio,
             } => {
-                w.field_u64("cutoff_bucket", cutoff_bucket as u64);
-                w.field_f64("misplaced_pages", misplaced_pages);
-                w.field_f64("misplacement_ratio", misplacement_ratio);
+                f("cutoff_bucket", Value::U64(cutoff_bucket.into()));
+                f("misplaced_pages", Value::F64(misplaced_pages));
+                f("misplacement_ratio", Value::F64(misplacement_ratio));
             }
             TraceEvent::CopyFault {
                 pid,
@@ -291,19 +302,19 @@ impl TraceEvent {
                 dir,
                 transient,
             } => {
-                w.field_u64("pid", pid as u64);
-                w.field_u64("vpn", vpn as u64);
-                w.field_u64("pages", pages as u64);
-                w.field_str("dir", dir.label());
-                w.field_bool("transient", transient);
+                f("pid", Value::U64(pid.into()));
+                f("vpn", Value::U64(vpn.into()));
+                f("pages", Value::U64(pages.into()));
+                f("dir", Value::Dir(dir));
+                f("transient", Value::Bool(transient));
             }
             TraceEvent::Quarantine { tier, pfn } => {
-                w.field_u64("tier", tier as u64);
-                w.field_u64("pfn", pfn as u64);
+                f("tier", Value::U64(tier.into()));
+                f("pfn", Value::U64(pfn.into()));
             }
             TraceEvent::FramePoison { pid, vpn } => {
-                w.field_u64("pid", pid as u64);
-                w.field_u64("vpn", vpn as u64);
+                f("pid", Value::U64(pid.into()));
+                f("vpn", Value::U64(vpn.into()));
             }
             TraceEvent::Capacity {
                 tier,
@@ -311,22 +322,22 @@ impl TraceEvent {
                 restored,
                 usable,
             } => {
-                w.field_u64("tier", tier as u64);
-                w.field_u64("offlined", offlined as u64);
-                w.field_u64("restored", restored as u64);
-                w.field_u64("usable", usable as u64);
+                f("tier", Value::U64(tier.into()));
+                f("offlined", Value::U64(offlined.into()));
+                f("restored", Value::U64(restored.into()));
+                f("usable", Value::U64(usable.into()));
             }
             TraceEvent::Retry { pid, vpn, attempt } => {
-                w.field_u64("pid", pid as u64);
-                w.field_u64("vpn", vpn as u64);
-                w.field_u64("attempt", attempt as u64);
+                f("pid", Value::U64(pid.into()));
+                f("vpn", Value::U64(vpn.into()));
+                f("attempt", Value::U64(attempt.into()));
             }
             TraceEvent::Breaker {
                 open,
                 failure_ratio,
             } => {
-                w.field_bool("open", open);
-                w.field_f64("failure_ratio", failure_ratio);
+                f("open", Value::Bool(open));
+                f("failure_ratio", Value::F64(failure_ratio));
             }
             TraceEvent::Admission {
                 tenant,
@@ -334,14 +345,14 @@ impl TraceEvent {
                 in_flight,
                 starvation,
             } => {
-                w.field_u64("tenant", tenant as u64);
-                w.field_u64("granted", granted as u64);
-                w.field_u64("in_flight", in_flight as u64);
-                w.field_u64("starvation", starvation as u64);
+                f("tenant", Value::U64(tenant.into()));
+                f("granted", Value::U64(granted.into()));
+                f("in_flight", Value::U64(in_flight.into()));
+                f("starvation", Value::U64(starvation.into()));
             }
             TraceEvent::TierHealth { tier, state } => {
-                w.field_u64("tier", tier as u64);
-                w.field_u64("state", state as u64);
+                f("tier", Value::U64(tier.into()));
+                f("state", Value::U64(state.into()));
             }
         }
     }

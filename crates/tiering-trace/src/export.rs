@@ -1,14 +1,47 @@
-//! Dependency-free JSON/CSV rendering.
+//! Dependency-free JSON/CSV rendering over the records' field lists.
 //!
 //! The repository builds in offline environments with no registry access,
 //! so serialization is hand-rolled: a tiny [`JsonWriter`] emits the small,
 //! flat schema the trace layer needs (objects of scalar fields inside
-//! arrays) with correct escaping and comma placement.
+//! arrays) with correct escaping and comma placement. Every encoder here,
+//! and the digest, reads a record through its one ordered field list
+//! ([`PeriodSample::fields`], [`TraceEvent::fields`]) as [`Value`]s.
+
+use std::fmt::{self, Write as _};
 
 use sim_clock::Nanos;
 
-use crate::event::TraceEvent;
+use crate::event::{MigrateDir, TraceEvent};
 use crate::period::PeriodSample;
+
+/// One typed field value of a trace record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// A count, id or timestamp in nanoseconds.
+    U64(u64),
+    /// A ratio or estimate; JSON prints six decimals (`null` when
+    /// non-finite), CSV its shortest round-trip form.
+    F64(f64),
+    /// A flag.
+    Bool(bool),
+    /// A migration direction: its label in JSON, `0`/`1` in the digest.
+    Dir(MigrateDir),
+    /// The packed per-tier health gauge (4 bits per tier, 0 = Online).
+    /// The digest skips it while every tier is Online.
+    Health(u32),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Value::U64(v) => write!(f, "{v}"),
+            Value::F64(v) => write!(f, "{v}"),
+            Value::Bool(v) => write!(f, "{v}"),
+            Value::Dir(d) => f.write_str(d.label()),
+            Value::Health(v) => write!(f, "{v}"),
+        }
+    }
+}
 
 /// Minimal JSON emitter for flat objects and arrays of objects.
 #[derive(Debug, Default)]
@@ -70,28 +103,19 @@ impl JsonWriter {
         self.needs_comma = false;
     }
 
-    /// Emits `"name": value` for an unsigned integer.
-    pub fn field_u64(&mut self, name: &str, v: u64) {
+    /// Emits `"name": value` for one record field.
+    pub fn field(&mut self, name: &str, v: Value) {
         self.key(name);
-        self.out.push_str(&v.to_string());
-        self.needs_comma = true;
-    }
-
-    /// Emits `"name": value` for a bool.
-    pub fn field_bool(&mut self, name: &str, v: bool) {
-        self.key(name);
-        self.out.push_str(if v { "true" } else { "false" });
-        self.needs_comma = true;
-    }
-
-    /// Emits `"name": value` for a float (`null` for non-finite values,
-    /// which raw JSON cannot represent).
-    pub fn field_f64(&mut self, name: &str, v: f64) {
-        self.key(name);
-        if v.is_finite() {
-            self.out.push_str(&format!("{:.6}", v));
-        } else {
-            self.out.push_str("null");
+        match v {
+            Value::F64(x) if x.is_finite() => {
+                let _ = write!(self.out, "{x:.6}");
+            }
+            // Raw JSON cannot represent non-finite floats.
+            Value::F64(_) => self.out.push_str("null"),
+            Value::Dir(d) => self.push_str_value(d.label()),
+            v => {
+                let _ = write!(self.out, "{v}");
+            }
         }
         self.needs_comma = true;
     }
@@ -99,6 +123,10 @@ impl JsonWriter {
     /// Emits `"name": "value"` with escaping.
     pub fn field_str(&mut self, name: &str, v: &str) {
         self.key(name);
+        self.push_str_value(v);
+    }
+
+    fn push_str_value(&mut self, v: &str) {
         self.out.push('"');
         for c in v.chars() {
             match c {
@@ -127,19 +155,32 @@ pub fn periods_to_json(label: &str, periods: &[PeriodSample]) -> String {
     w.key("periods");
     w.begin_array();
     for p in periods {
-        p.write_json(&mut w);
+        w.begin_object();
+        p.fields(|name, v| w.field(name, v));
+        w.end_object();
     }
     w.end_array();
     w.end_object();
     w.finish()
 }
 
-/// Renders period samples as CSV with a header row.
+/// Renders period samples as CSV: a header row of the field names, then
+/// one row of the fields' `Display` forms per sample.
 pub fn periods_to_csv(periods: &[PeriodSample]) -> String {
-    let mut out = String::from(PeriodSample::csv_header());
+    let mut out = String::new();
+    let mut sep = "";
+    PeriodSample::default().fields(|name, _| {
+        out.push_str(sep);
+        out.push_str(name);
+        sep = ",";
+    });
     out.push('\n');
     for p in periods {
-        out.push_str(&p.csv_row());
+        let mut sep = "";
+        p.fields(|_, v| {
+            let _ = write!(out, "{sep}{v}");
+            sep = ",";
+        });
         out.push('\n');
     }
     out
@@ -152,9 +193,9 @@ pub fn events_to_jsonl<'a>(events: impl Iterator<Item = &'a (Nanos, TraceEvent)>
     for (t, ev) in events {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.field_u64("t_ns", t.as_nanos());
+        w.field("t_ns", Value::U64(t.as_nanos()));
         w.field_str("kind", ev.kind());
-        ev.write_fields(&mut w);
+        ev.fields(|name, v| w.field(name, v));
         w.end_object();
         out.push_str(&w.finish());
         out.push('\n');
@@ -165,7 +206,6 @@ pub fn events_to_jsonl<'a>(events: impl Iterator<Item = &'a (Nanos, TraceEvent)>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::MigrateDir;
 
     #[test]
     fn escapes_strings() {
@@ -180,17 +220,17 @@ mod tests {
     fn object_commas_are_placed_between_fields_only() {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.field_u64("a", 1);
-        w.field_u64("b", 2);
+        w.field("a", Value::U64(1));
+        w.field("b", Value::Bool(true));
         w.end_object();
-        assert_eq!(w.finish(), r#"{"a":1,"b":2}"#);
+        assert_eq!(w.finish(), r#"{"a":1,"b":true}"#);
     }
 
     #[test]
     fn non_finite_floats_become_null() {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.field_f64("x", f64::NAN);
+        w.field("x", Value::F64(f64::NAN));
         w.end_object();
         assert_eq!(w.finish(), r#"{"x":null}"#);
     }

@@ -2,7 +2,7 @@
 
 use sim_clock::Nanos;
 
-use crate::export::JsonWriter;
+use crate::export::Value;
 
 /// Policy-side control state contributed to a period sample. Baselines that
 /// have no threshold/queue machinery pass [`PolicyTraceState::default`].
@@ -57,93 +57,39 @@ pub struct PeriodSample {
     pub offlined_frames: u64,
     /// Packed per-tier health gauge: 4 bits per tier in chain order
     /// (0 = Online). An all-healthy chain packs to 0, and the digest only
-    /// folds non-zero values, so fault-free runs hash as they always did.
+    /// folds non-zero values ([`Value::Health`]), so fault-free runs hash
+    /// as they always did.
     pub tier_health: u32,
 }
 
 impl PeriodSample {
-    /// Writes the sample as one JSON object into `w`.
-    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.field_u64("timestamp_ns", self.timestamp.as_nanos());
-        w.field_u64("cit_threshold_ns", self.policy.cit_threshold.as_nanos());
-        w.field_u64("rate_limit_bps", self.policy.rate_limit_bps);
-        w.field_u64("queue_depth", self.policy.queue_depth);
-        w.field_u64("enqueued_pages", self.policy.enqueued_pages);
-        w.field_u64("dequeued_pages", self.policy.dequeued_pages);
-        w.field_u64("dropped_pages", self.policy.dropped_pages);
-        w.field_f64("heat_overlap_ratio", self.policy.heat_overlap_ratio);
-        w.field_u64("promoted_pages", self.promoted_pages);
-        w.field_u64("demoted_pages", self.demoted_pages);
-        w.field_u64("thrash_events", self.thrash_events);
-        w.field_u64("hint_faults", self.hint_faults);
-        w.field_f64("period_fmar", self.period_fmar);
-        w.field_f64("fmar", self.fmar);
-        w.field_u64("fast_used_frames", self.fast_used_frames);
-        w.field_u64("slow_used_frames", self.slow_used_frames);
-        w.field_u64("in_flight_migrations", self.in_flight_migrations);
-        w.field_u64("quarantined_frames", self.quarantined_frames);
-        w.field_u64("offlined_frames", self.offlined_frames);
-        w.field_u64("tier_health", self.tier_health as u64);
-        w.end_object();
-    }
-
-    /// CSV header matching [`PeriodSample::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "timestamp_ns,cit_threshold_ns,rate_limit_bps,queue_depth,enqueued_pages,\
-         dequeued_pages,dropped_pages,heat_overlap_ratio,promoted_pages,demoted_pages,\
-         thrash_events,hint_faults,period_fmar,fmar,fast_used_frames,slow_used_frames,\
-         in_flight_migrations,quarantined_frames,offlined_frames,tier_health"
-    }
-
-    /// One CSV row (no trailing newline).
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.timestamp.as_nanos(),
-            self.policy.cit_threshold.as_nanos(),
-            self.policy.rate_limit_bps,
-            self.policy.queue_depth,
-            self.policy.enqueued_pages,
-            self.policy.dequeued_pages,
-            self.policy.dropped_pages,
-            self.policy.heat_overlap_ratio,
-            self.promoted_pages,
-            self.demoted_pages,
-            self.thrash_events,
-            self.hint_faults,
-            self.period_fmar,
-            self.fmar,
-            self.fast_used_frames,
-            self.slow_used_frames,
-            self.in_flight_migrations,
-            self.quarantined_frames,
-            self.offlined_frames,
-            self.tier_health,
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn csv_row_matches_header_arity() {
-        let header_cols = PeriodSample::csv_header().split(',').count();
-        let row_cols = PeriodSample::default().csv_row().split(',').count();
-        assert_eq!(header_cols, row_cols);
-    }
-
-    #[test]
-    fn csv_row_carries_values() {
-        let s = PeriodSample {
-            timestamp: Nanos(42),
-            promoted_pages: 7,
-            ..Default::default()
-        };
-        let row = s.csv_row();
-        assert!(row.starts_with("42,"));
-        assert!(row.contains(",7,"));
+    /// The row's columns in export order, as `(name, value)` pairs with
+    /// the policy state flattened in. The JSON object, the CSV header and
+    /// row, and the digest all read this one list.
+    pub fn fields(&self, mut f: impl FnMut(&'static str, Value)) {
+        let p = &self.policy;
+        f("timestamp_ns", Value::U64(self.timestamp.as_nanos()));
+        f("cit_threshold_ns", Value::U64(p.cit_threshold.as_nanos()));
+        f("rate_limit_bps", Value::U64(p.rate_limit_bps));
+        f("queue_depth", Value::U64(p.queue_depth));
+        f("enqueued_pages", Value::U64(p.enqueued_pages));
+        f("dequeued_pages", Value::U64(p.dequeued_pages));
+        f("dropped_pages", Value::U64(p.dropped_pages));
+        f("heat_overlap_ratio", Value::F64(p.heat_overlap_ratio));
+        f("promoted_pages", Value::U64(self.promoted_pages));
+        f("demoted_pages", Value::U64(self.demoted_pages));
+        f("thrash_events", Value::U64(self.thrash_events));
+        f("hint_faults", Value::U64(self.hint_faults));
+        f("period_fmar", Value::F64(self.period_fmar));
+        f("fmar", Value::F64(self.fmar));
+        f("fast_used_frames", Value::U64(self.fast_used_frames));
+        f("slow_used_frames", Value::U64(self.slow_used_frames));
+        f(
+            "in_flight_migrations",
+            Value::U64(self.in_flight_migrations),
+        );
+        f("quarantined_frames", Value::U64(self.quarantined_frames));
+        f("offlined_frames", Value::U64(self.offlined_frames));
+        f("tier_health", Value::Health(self.tier_health));
     }
 }

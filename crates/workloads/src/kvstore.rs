@@ -6,7 +6,7 @@
 //! Gaussian-popularity SET/GET operations. Items are initialized
 //! sequentially, as the paper does to equalize the starting page placement.
 
-use sim_clock::{DetRng, Nanos, Zipf};
+use sim_clock::{DetRng, Nanos};
 use tiered_mem::Vpn;
 
 use crate::{AccessReq, Workload};
@@ -16,6 +16,10 @@ const PAGE_BYTES: u64 = 4096;
 /// CPU work per operation (hashing, protocol handling); memtier keeps deep
 /// pipelines per connection, so per-op CPU overlaps with memory time.
 const OP_THINK: Nanos = Nanos(60);
+/// Key popularity: Gaussian over the key space around the middle key, with
+/// σ this fraction of the key space (memtier's Gaussian key pattern, the
+/// paper's configuration).
+const SIGMA_FRAC: f64 = 0.15;
 
 /// Which store to model; they differ in per-item overhead and layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,24 +29,6 @@ pub enum KvFlavor {
     /// Separate object header (`robj`) region and value (`sds`) region: each
     /// operation touches one extra metadata page.
     Redis,
-}
-
-/// KV workload configuration.
-/// Key-popularity distributions supported by memtier-style load generators.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KvPopularity {
-    /// Gaussian over the key space (the paper's configuration); σ as a
-    /// fraction of the key space.
-    Gaussian {
-        /// Standard deviation as a fraction of the key space.
-        sigma_frac: f64,
-    },
-    /// Zipf-ranked keys, scattered over the key space by a hash (memtier's
-    /// `--key-pattern` zipfian analogue).
-    Zipf {
-        /// Zipf exponent (typical YCSB-style skew: 0.99).
-        theta: f64,
-    },
 }
 
 #[derive(Debug, Clone)]
@@ -56,8 +42,6 @@ pub struct KvStoreConfig {
     pub flavor: KvFlavor,
     /// SET fraction (1:10 Set/Get → 1/11; 1:1 → 0.5).
     pub set_ratio: f64,
-    /// Key popularity distribution.
-    pub popularity: KvPopularity,
     /// Slab-allocator address-space spread: the data region's virtual span
     /// is `spread x` its dense size, with gaps between used pages. Real
     /// allocators scatter items this way, and it is what makes huge-page
@@ -91,17 +75,10 @@ impl KvStoreConfig {
             value_bytes,
             flavor,
             set_ratio,
-            popularity: KvPopularity::Gaussian { sigma_frac: 0.15 },
             layout_spread: 1.5,
             seed,
             total_ops: u64::MAX,
         }
-    }
-
-    /// Switches the key popularity to a Zipf ranking.
-    pub fn with_zipf(mut self, theta: f64) -> KvStoreConfig {
-        self.popularity = KvPopularity::Zipf { theta };
-        self
     }
 }
 
@@ -120,7 +97,6 @@ pub struct KvStoreWorkload {
     bucket_pages: u32,
     meta_pages: u32,
     data_pages: u32,
-    zipf: Option<Zipf>,
     init_cursor: u32,
     issued_ops: u64,
     pending: Option<AccessReq>,
@@ -141,10 +117,6 @@ impl KvStoreWorkload {
             KvFlavor::Memcached => 0,
             KvFlavor::Redis => cfg.items.div_ceil(256).max(1),
         };
-        let zipf = match cfg.popularity {
-            KvPopularity::Zipf { theta } => Some(Zipf::new(cfg.items as u64, theta)),
-            KvPopularity::Gaussian { .. } => None,
-        };
         KvStoreWorkload {
             rng: DetRng::seed(cfg.seed),
             cfg,
@@ -152,7 +124,6 @@ impl KvStoreWorkload {
             bucket_pages,
             meta_pages,
             data_pages,
-            zipf,
             init_cursor: 0,
             issued_ops: 0,
             pending: None,
@@ -178,34 +149,19 @@ impl KvStoreWorkload {
         Vpn(self.bucket_pages + self.meta_pages + spread)
     }
 
-    /// Samples an item id according to the configured popularity.
+    /// Samples an item id from the Gaussian key popularity.
     fn sample_item(&mut self) -> u32 {
-        match self.cfg.popularity {
-            KvPopularity::Gaussian { sigma_frac } => {
-                let n = self.cfg.items as f64;
-                let sigma = n * sigma_frac;
-                self.rng.normal_index(n / 2.0, sigma, self.cfg.items)
-            }
-            KvPopularity::Zipf { .. } => {
-                let z = self.zipf.as_ref().expect("zipf sampler built at new()");
-                let rank = z.sample(&mut self.rng) as u32;
-                // Scatter ranks over item ids so the hot set isn't one page.
-                let h = (rank as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                (h % self.cfg.items as u64) as u32
-            }
-        }
+        let n = self.cfg.items as f64;
+        self.rng
+            .normal_index(n / 2.0, n * SIGMA_FRAC, self.cfg.items)
     }
 
     /// Ground truth for classification experiments: whether an item's data
-    /// page lies within ±1σ of the Gaussian popularity centre (always false
-    /// for Zipf popularity, whose hot set is hash-scattered).
+    /// page lies within ±1σ of the Gaussian popularity centre.
     pub fn in_hot_center(&self, vpn: Vpn) -> bool {
-        let KvPopularity::Gaussian { sigma_frac } = self.cfg.popularity else {
-            return false;
-        };
         let n = self.cfg.items as f64;
-        let lo_item = (n / 2.0 - n * sigma_frac) as u32;
-        let hi_item = (n / 2.0 + n * sigma_frac) as u32;
+        let lo_item = (n / 2.0 - n * SIGMA_FRAC) as u32;
+        let hi_item = (n / 2.0 + n * SIGMA_FRAC) as u32;
         let lo = self.data_page(lo_item);
         let hi = self.data_page(hi_item);
         (lo.0..=hi.0).contains(&vpn.0)
@@ -297,7 +253,6 @@ mod tests {
             value_bytes: 320,
             flavor,
             set_ratio: 1.0 / 11.0,
-            popularity: KvPopularity::Gaussian { sigma_frac: 0.15 },
             layout_spread: 1.0,
             seed: 5,
             total_ops: 1000,
@@ -418,33 +373,6 @@ mod tests {
         let density = data_touched as f64 / span as f64;
         assert!(density < 0.75, "density {:.2}", density);
         assert!(density > 0.55, "density {:.2}", density);
-    }
-
-    #[test]
-    fn zipf_popularity_is_skewed_and_scattered() {
-        let mut c = cfg(KvFlavor::Memcached).with_zipf(0.99);
-        c.total_ops = 30_000;
-        let mut w = KvStoreWorkload::new(c);
-        for _ in 0..(10_000 * 2) {
-            w.next_access().unwrap(); // drain init
-        }
-        let mut counts = std::collections::HashMap::new();
-        while let Some(r) = w.next_access() {
-            if r.vpn.0 >= w.bucket_pages {
-                *counts.entry(r.vpn.0).or_insert(0u32) += 1;
-            }
-        }
-        let mut freqs: Vec<u32> = counts.into_values().collect();
-        freqs.sort_unstable_by(|a, b| b.cmp(a));
-        // Zipf page traffic is heavily skewed: top page >> median page.
-        assert!(
-            freqs[0] > freqs[freqs.len() / 2] * 3,
-            "top {} vs median {}",
-            freqs[0],
-            freqs[freqs.len() / 2]
-        );
-        // And the hot-centre ground truth does not apply to Zipf.
-        assert!(!w.in_hot_center(tiered_mem::Vpn(w.bucket_pages + 10)));
     }
 
     #[test]

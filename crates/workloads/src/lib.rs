@@ -68,8 +68,8 @@ impl<W: Workload + ?Sized> Workload for Box<W> {
 }
 
 pub use graph500::{Graph500Config, Graph500Workload, GraphKernel};
-pub use kvstore::{KvFlavor, KvPopularity, KvStoreConfig, KvStoreWorkload};
-pub use pattern::{AccessPattern, GaussianPattern, HotsetPattern, UniformPattern, ZipfPattern};
+pub use kvstore::{KvFlavor, KvStoreConfig, KvStoreWorkload};
+pub use pattern::{AccessPattern, GaussianPattern, HotsetPattern, UniformPattern};
 pub use phased::PhasedWorkload;
 pub use pmbench::{PmbenchConfig, PmbenchWorkload};
 pub use trace::{Trace, TraceRecord, TraceWorkload};

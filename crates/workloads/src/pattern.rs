@@ -1,6 +1,6 @@
 //! Reusable page-address distributions.
 
-use sim_clock::{DetRng, Zipf};
+use sim_clock::DetRng;
 use tiered_mem::Vpn;
 
 /// A distribution over page addresses within a working set.
@@ -94,50 +94,6 @@ impl AccessPattern for GaussianPattern {
         // Tails are resampled rather than clamped, so the edges don't
         // accumulate spurious hot spikes.
         Vpn(rng.normal_index(self.center, self.sigma, self.slots) * self.stride)
-    }
-
-    fn pages(&self) -> u32 {
-        self.pages
-    }
-}
-
-/// Zipf-popularity pages, rank-shuffled across the space via a multiplicative
-/// hash so that hot pages are scattered (as hash-table and allocator layouts
-/// scatter hot objects in practice).
-#[derive(Debug, Clone)]
-pub struct ZipfPattern {
-    pages: u32,
-    zipf: Zipf,
-    scatter: bool,
-}
-
-impl ZipfPattern {
-    /// Zipf(θ) over `pages` pages; `scatter` spreads ranks over the space.
-    pub fn new(pages: u32, theta: f64, scatter: bool) -> ZipfPattern {
-        ZipfPattern {
-            pages,
-            zipf: Zipf::new(pages as u64, theta),
-            scatter,
-        }
-    }
-
-    /// Maps a popularity rank to its page, mirroring `sample`'s layout.
-    pub fn rank_to_page(&self, rank: u32) -> Vpn {
-        if self.scatter {
-            // Fibonacci-hash permutation: odd multiplier => bijective mod 2^32,
-            // then reduced to the page count via the high-quality upper bits.
-            let h = (rank as u64).wrapping_mul(0x9E3779B97F4A7C15);
-            Vpn((h % self.pages as u64) as u32)
-        } else {
-            Vpn(rank)
-        }
-    }
-}
-
-impl AccessPattern for ZipfPattern {
-    fn sample(&mut self, rng: &mut DetRng) -> Vpn {
-        let rank = self.zipf.sample(rng) as u32;
-        self.rank_to_page(rank)
     }
 
     fn pages(&self) -> u32 {
@@ -252,29 +208,6 @@ mod tests {
         assert!(p.in_hot_center(Vpn(380), 0.25));
         assert!(!p.in_hot_center(Vpn(370), 0.25));
         assert!(!p.in_hot_center(Vpn(630), 0.25));
-    }
-
-    #[test]
-    fn zipf_scatter_preserves_skew() {
-        let mut p = ZipfPattern::new(10_000, 0.99, true);
-        let mut rng = DetRng::seed(5);
-        let n = 50_000;
-        let mut counts = std::collections::HashMap::new();
-        for _ in 0..n {
-            *counts.entry(p.sample(&mut rng).0).or_insert(0u32) += 1;
-        }
-        let mut freqs: Vec<u32> = counts.into_values().collect();
-        freqs.sort_unstable_by(|a, b| b.cmp(a));
-        // Top page should vastly exceed median-popularity pages.
-        assert!(freqs[0] > 50, "top page count was {}", freqs[0]);
-    }
-
-    #[test]
-    fn zipf_rank_map_is_deterministic() {
-        let p = ZipfPattern::new(100, 0.9, true);
-        assert_eq!(p.rank_to_page(7), p.rank_to_page(7));
-        let q = ZipfPattern::new(100, 0.9, false);
-        assert_eq!(q.rank_to_page(7), Vpn(7));
     }
 
     #[test]
